@@ -20,6 +20,7 @@ use criterion::{Bencher, BenchmarkId, Criterion, Throughput};
 use qubo_problems::random;
 use std::hint::black_box;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 const N: usize = 256;
@@ -44,7 +45,7 @@ fn config(ckpt: Option<PathBuf>) -> AbsConfig {
 }
 
 /// One full session solve per measured iteration.
-fn bench_solve(b: &mut Bencher<'_>, q: &qubo::Qubo, ckpt: Option<PathBuf>) {
+fn bench_solve(b: &mut Bencher<'_>, q: &Arc<qubo::Qubo>, ckpt: Option<PathBuf>) {
     b.iter(|| {
         let cfg = config(ckpt.clone());
         let r = AbsSession::start(cfg, black_box(q))
@@ -65,7 +66,7 @@ fn bench_write(b: &mut Bencher<'_>, session: &mut AbsSession) {
 }
 
 fn bench_overhead(c: &mut Criterion) {
-    let q = random::generate(N, 1);
+    let q = Arc::new(random::generate(N, 1));
     let mut g = c.benchmark_group("checkpoint_overhead");
     g.sample_size(10)
         .warm_up_time(Duration::from_millis(300))
@@ -96,7 +97,7 @@ fn bench_overhead(c: &mut Criterion) {
 /// stride armed, the same seed reaches the same flips budget with an
 /// exact audited energy.
 fn sanity_check() {
-    let q = random::generate(N, 1);
+    let q = Arc::new(random::generate(N, 1));
     let off = AbsSession::start(config(None), &q)
         .expect("start")
         .run_to_completion()

@@ -55,7 +55,7 @@ fn job_config(seed: u64, stop: StopCondition) -> AbsConfig {
 
 /// One job driven the way the server runner drives it: lease the
 /// config's geometry, confine the session to the grant, release.
-fn leased_solve(pool: &Arc<DevicePool>, q: &qubo::Qubo, mut cfg: AbsConfig) -> SolveResult {
+fn leased_solve(pool: &Arc<DevicePool>, q: &Arc<qubo::Qubo>, mut cfg: AbsConfig) -> SolveResult {
     let lease = pool.acquire_lease(&LeaseRequest {
         tenant: "bench",
         priority: Priority::Batch,
@@ -73,7 +73,7 @@ fn leased_solve(pool: &Arc<DevicePool>, q: &qubo::Qubo, mut cfg: AbsConfig) -> S
 }
 
 /// K time-budgeted jobs, one after another on a single worker.
-fn bench_sequential(b: &mut Bencher<'_>, pool: &Arc<DevicePool>, q: &qubo::Qubo) {
+fn bench_sequential(b: &mut Bencher<'_>, pool: &Arc<DevicePool>, q: &Arc<qubo::Qubo>) {
     b.iter(|| {
         let mut flips = 0;
         for seed in 0..K as u64 {
@@ -105,7 +105,7 @@ fn bench_concurrent(b: &mut Bencher<'_>, pool: &Arc<DevicePool>, q: &Arc<qubo::Q
     });
 }
 
-fn bench_single(b: &mut Bencher<'_>, q: &qubo::Qubo, pool: Option<&Arc<DevicePool>>) {
+fn bench_single(b: &mut Bencher<'_>, q: &Arc<qubo::Qubo>, pool: Option<&Arc<DevicePool>>) {
     b.iter(|| {
         let cfg = job_config(7, StopCondition::flips(FLIPS_BUDGET));
         let r = match pool {
@@ -220,7 +220,7 @@ fn warm_gate() -> (u64, u64, f64) {
 /// A leased uncontended job must be the direct job: same clamp-identity
 /// geometry, same seed, bit-for-bit the same best.
 fn sanity_check() {
-    let q = random::generate(N, 1);
+    let q = Arc::new(random::generate(N, 1));
     let pool = pool();
     let cfg = job_config(7, StopCondition::flips(2_000));
     let direct = AbsSession::start(cfg.clone(), &q)

@@ -154,11 +154,16 @@ pub fn parse(argv: &[String]) -> Result<Option<(Command, Options)>, String> {
         },
         "random" => {
             let bits = positional(&mut it, "bit count")?;
-            Command::Random {
-                bits: bits
-                    .parse()
-                    .map_err(|_| format!("random: bad bit count {bits:?}"))?,
+            let bits: usize = bits
+                .parse()
+                .map_err(|_| format!("random: bad bit count {bits:?}"))?;
+            if !(1..=qubo::MAX_BITS).contains(&bits) {
+                return Err(format!(
+                    "random: bit count {bits} not in 1..={}",
+                    qubo::MAX_BITS
+                ));
             }
+            Command::Random { bits }
         }
         "gset" => Command::Gset {
             name: positional(&mut it, "instance name")?,
@@ -338,6 +343,23 @@ mod tests {
     fn random_parses_bits() {
         let (cmd, _) = parse(&v(&["random", "512"])).unwrap().unwrap();
         assert_eq!(cmd, Command::Random { bits: 512 });
+        let max = qubo::MAX_BITS.to_string();
+        let (cmd, _) = parse(&v(&["random", &max])).unwrap().unwrap();
+        assert_eq!(
+            cmd,
+            Command::Random {
+                bits: qubo::MAX_BITS
+            }
+        );
+    }
+
+    #[test]
+    fn random_rejects_sizes_outside_the_supported_range() {
+        let err = parse(&v(&["random", "0"])).unwrap_err();
+        assert!(err.contains("not in 1..="), "{err}");
+        let over = (qubo::MAX_BITS + 1).to_string();
+        assert!(parse(&v(&["random", &over])).is_err());
+        assert!(parse(&v(&["random", "-3"])).is_err());
     }
 
     #[test]

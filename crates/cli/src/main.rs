@@ -148,25 +148,25 @@ fn run(cmd: Command, opts: &Options) -> Result<(), CliError> {
             } else {
                 format::parse(&text).map_err(|e| rt(e.to_string()))?
             };
-            solve_and_report(&q, opts, &path)
+            solve_and_report(&Arc::new(q), opts, &path)
         }
         Command::Random { bits } => {
             let q = qubo_problems::random::generate(bits, opts.seed);
-            solve_and_report(&q, opts, &format!("random-{bits}"))
+            solve_and_report(&Arc::new(q), opts, &format!("random-{bits}"))
         }
         Command::Gset { name } => {
             let inst = qubo_problems::gset::instance(&name)
                 .ok_or_else(|| CliError::Usage(format!("unknown G-set instance {name:?}")))?;
             let g = qubo_problems::gset::generate_instance(inst, opts.seed);
             let q = qubo_problems::maxcut::to_qubo(&g).map_err(|e| rt(e.to_string()))?;
-            solve_and_report(&q, opts, &format!("gset-{name}"))
+            solve_and_report(&Arc::new(q), opts, &format!("gset-{name}"))
         }
         Command::Tsp { name } => {
             let inst = qubo_problems::tsplib::entry(&name)
                 .ok_or_else(|| CliError::Usage(format!("unknown TSPLIB instance {name:?}")))?;
             let tsp = qubo_problems::tsplib::instance(inst.name);
             let tq = qubo_problems::tsp::to_qubo(&tsp).map_err(|e| rt(e.to_string()))?;
-            solve_and_report(tq.qubo(), opts, &format!("tsp-{name}"))
+            solve_and_report(&Arc::new(tq.qubo().clone()), opts, &format!("tsp-{name}"))
         }
         Command::Serve { args } => {
             let config = match abs_server::args::parse(&args).map_err(CliError::Usage)? {
@@ -181,7 +181,7 @@ fn run(cmd: Command, opts: &Options) -> Result<(), CliError> {
     }
 }
 
-fn solve_and_report(q: &Qubo, opts: &Options, label: &str) -> Result<(), CliError> {
+fn solve_and_report(q: &Arc<Qubo>, opts: &Options, label: &str) -> Result<(), CliError> {
     let mut config = match opts.preset.as_deref() {
         Some("maxcut") => abs::presets::maxcut(),
         Some("tsp") => abs::presets::tsp(q.n()),

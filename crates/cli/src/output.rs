@@ -149,6 +149,10 @@ mod tests {
         let q = qubo_problems::random::generate(24, 1);
         let mut cfg = AbsConfig::small();
         cfg.machine.device.blocks_override = Some(4);
+        // One worker cycles through all four blocks, so block 2 reaches
+        // its fatal second iteration long before the flip budget runs
+        // out; with two, its worker could start only after the budget.
+        cfg.machine.device.workers = 1;
         cfg.machine.device.fault = Some(Arc::new(FaultPlan::new().panic_block(0, 2, 1)));
         cfg.stop = StopCondition::flips(20_000);
         let r = Abs::new(cfg).unwrap().solve(&q).unwrap();

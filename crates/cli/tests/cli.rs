@@ -32,6 +32,15 @@ fn unknown_command_exits_2() {
 }
 
 #[test]
+fn random_with_an_unsupported_size_is_a_usage_error() {
+    for bits in ["0", "32769"] {
+        let out = bin().args(["random", bits]).output().expect("run");
+        assert_eq!(out.status.code(), Some(2), "random {bits}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("not in 1..="));
+    }
+}
+
+#[test]
 fn info_reports_instance_statistics() {
     let path = tmp_qubo_file("info.qubo", "p qubo 0 4 4 2\n0 0 -5\n0 1 3\n2 3 -2\n");
     let out = bin().arg("info").arg(&path).output().expect("run");

@@ -38,7 +38,7 @@ use rand::SeedableRng;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vgpu::{GlobalMem, HealthStatus, Machine, RunningMachine};
+use vgpu::{DeviceMatrix, GlobalMem, HealthStatus, Machine, RunningMachine};
 
 /// How long [`AbsSession::checkpoint_now`] waits for every live worker
 /// to acknowledge the pause barrier before snapshotting anyway. A
@@ -86,7 +86,6 @@ struct DeviceState {
 /// [`run_to_completion`](AbsSession::run_to_completion).
 pub struct AbsSession {
     config: AbsConfig,
-    qubo: Arc<Qubo>,
     n: usize,
     machine: RunningMachine,
     start: Instant,
@@ -135,13 +134,15 @@ impl std::fmt::Debug for AbsSession {
 
 impl AbsSession {
     /// Starts a fresh session: validates the configuration, seeds the
-    /// pool and every device's target buffer, and spawns the device
-    /// threads.
+    /// pool and every device's target buffer, picks the storage arm once
+    /// ([`DeviceMatrix::from_problem`]), and spawns the device threads. The
+    /// session shares `qubo` (or its one CSR conversion) with every
+    /// device; nothing is copied.
     ///
     /// # Errors
     /// [`AbsError::InvalidConfig`], [`AbsError::WarmStartLength`] or
     /// [`AbsError::Occupancy`], exactly as [`crate::Abs::solve`].
-    pub fn start(config: AbsConfig, qubo: &Qubo) -> Result<Self, AbsError> {
+    pub fn start(config: AbsConfig, qubo: &Arc<Qubo>) -> Result<Self, AbsError> {
         config.validate()?;
         let n = qubo.n();
         for warm in &config.initial_solutions {
@@ -179,8 +180,7 @@ impl AbsSession {
         let seed = config.seed;
         Ok(Self::assemble(
             config,
-            Arc::new(qubo.clone()),
-            n,
+            DeviceMatrix::from_problem(qubo),
             machine,
             rng,
             pool,
@@ -207,7 +207,7 @@ impl AbsSession {
     /// [`AbsError::Checkpoint`] when no on-disk generation passes CRC
     /// validation or the checkpoint does not match `qubo`/`config`;
     /// otherwise as [`AbsSession::start`].
-    pub fn resume(config: AbsConfig, qubo: &Qubo, path: &Path) -> Result<Self, AbsError> {
+    pub fn resume(config: AbsConfig, qubo: &Arc<Qubo>, path: &Path) -> Result<Self, AbsError> {
         config.validate()?;
         let fault = config.machine.device.fault.clone();
         let (ckpt, rejected) = load_checkpoint(path, fault.as_deref())?;
@@ -221,7 +221,7 @@ impl AbsSession {
     /// As [`AbsSession::resume`].
     pub fn resume_from(
         config: AbsConfig,
-        qubo: &Qubo,
+        qubo: &Arc<Qubo>,
         ckpt: Checkpoint,
         rejected: u64,
     ) -> Result<Self, AbsError> {
@@ -243,8 +243,9 @@ impl AbsSession {
         // Re-audit the incumbent: energies in a valid checkpoint are
         // exact, so a mismatch means the checkpoint belongs to a
         // different problem of the same size.
+        let matrix = DeviceMatrix::from_problem(qubo);
         if let Some((x, e)) = &ckpt.best {
-            if x.len() != n || qubo.energy(x) != *e {
+            if x.len() != n || matrix.energy(x) != *e {
                 return Err(AbsError::Checkpoint(
                     "restored best solution fails the energy re-audit \
                      (checkpoint from a different problem?)"
@@ -306,14 +307,7 @@ impl AbsSession {
             ckpt_rejected: rejected,
         };
         Ok(Self::assemble(
-            config,
-            Arc::new(qubo.clone()),
-            n,
-            machine,
-            rng,
-            pool,
-            gen,
-            restored,
+            config, matrix, machine, rng, pool, gen, restored,
         ))
     }
 
@@ -329,11 +323,9 @@ impl AbsSession {
             .collect()
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         config: AbsConfig,
-        qubo: Arc<Qubo>,
-        n: usize,
+        matrix: DeviceMatrix,
         machine: Machine,
         rng: StdRng,
         pool: SolutionPool,
@@ -341,6 +333,7 @@ impl AbsSession {
         r: Restored,
     ) -> Self {
         let start = Instant::now();
+        let n = matrix.n();
         let devs: Vec<DeviceState> = (0..r.num_devices)
             .map(|i| {
                 let (host_rejected, requeued) = r.host_sides.get(i).copied().unwrap_or((0, 0));
@@ -372,7 +365,7 @@ impl AbsSession {
             }
         }
         let aggregator = Aggregator::new(r.num_devices, n);
-        let machine = machine.start(Arc::clone(&qubo));
+        let machine = machine.start(matrix);
         Self {
             hard_deadline: config.watchdog.hard_timeout.map(|d| start + d),
             next_metrics_write: config
@@ -386,7 +379,6 @@ impl AbsSession {
                 .filter(|_| config.checkpoint.out.is_some())
                 .map(|iv| start + iv),
             config,
-            qubo,
             n,
             machine,
             start,
@@ -946,7 +938,8 @@ impl AbsSession {
     /// computes the energy" rule: with real hardware the device is
     /// trusted; here the fault model explicitly includes corrupted
     /// records, so claimed improvements are re-priced before they can
-    /// displace the best.
+    /// displace the best. The audit prices on the devices' own storage
+    /// arm: O(|ones|²) dense, O(n + nnz) on the CSR arm.
     fn accept_record(&self, x: &BitVec, claimed: Energy) -> bool {
         if x.len() != self.n {
             return false;
@@ -955,7 +948,7 @@ impl AbsSession {
         let improves = claimed < self.best_energy;
         let sampled = stride > 0 && self.received.is_multiple_of(stride);
         if improves || sampled {
-            return self.qubo.energy(x) == claimed;
+            return self.machine.matrix().energy(x) == claimed;
         }
         true
     }
@@ -1040,7 +1033,7 @@ mod tests {
     #[test]
     fn session_lifecycle_matches_solve() {
         let mut rng = StdRng::seed_from_u64(21);
-        let q = Qubo::random(64, &mut rng);
+        let q = Arc::new(Qubo::random(64, &mut rng));
         let cfg = small_cfg(StopCondition::flips(50_000));
         let session = AbsSession::start(cfg, &q).unwrap();
         let r = session.run_to_completion().unwrap();
@@ -1055,7 +1048,7 @@ mod tests {
         // Stop long before the flip budget: the result must still carry
         // an exact best and self-consistent accounting.
         let mut rng = StdRng::seed_from_u64(22);
-        let q = Qubo::random(48, &mut rng);
+        let q = Arc::new(Qubo::random(48, &mut rng));
         let cfg = small_cfg(StopCondition::flips(u64::MAX / 2));
         let mut session = AbsSession::start(cfg, &q).unwrap();
         for _ in 0..50 {
@@ -1070,7 +1063,7 @@ mod tests {
     #[test]
     fn steal_best_observes_improvements_without_stopping() {
         let mut rng = StdRng::seed_from_u64(23);
-        let q = Qubo::random(64, &mut rng);
+        let q = Arc::new(Qubo::random(64, &mut rng));
         let cfg = small_cfg(StopCondition::flips(u64::MAX / 2));
         let mut session = AbsSession::start(cfg, &q).unwrap();
         let mut seen = None;
@@ -1090,7 +1083,7 @@ mod tests {
     #[test]
     fn checkpoint_now_requires_a_configured_path() {
         let mut rng = StdRng::seed_from_u64(24);
-        let q = Qubo::random(32, &mut rng);
+        let q = Arc::new(Qubo::random(32, &mut rng));
         let cfg = small_cfg(StopCondition::flips(1_000));
         let mut session = AbsSession::start(cfg, &q).unwrap();
         let err = session.checkpoint_now().unwrap_err();
@@ -1101,7 +1094,7 @@ mod tests {
     #[test]
     fn checkpoint_and_resume_continue_cumulative_accounting() {
         let mut rng = StdRng::seed_from_u64(25);
-        let q = Qubo::random(48, &mut rng);
+        let q = Arc::new(Qubo::random(48, &mut rng));
         let path = temp_path("cumulative");
 
         let mut cfg = small_cfg(StopCondition::flips(u64::MAX / 2));
@@ -1152,7 +1145,7 @@ mod tests {
     #[test]
     fn resume_rejects_a_mismatched_problem() {
         let mut rng = StdRng::seed_from_u64(26);
-        let q = Qubo::random(32, &mut rng);
+        let q = Arc::new(Qubo::random(32, &mut rng));
         let path = temp_path("mismatch");
         let mut cfg = small_cfg(StopCondition::flips(u64::MAX / 2));
         cfg.checkpoint.out = Some(path.clone());
@@ -1164,11 +1157,11 @@ mod tests {
         drop(session);
 
         // Wrong size: refused by the n check.
-        let q16 = Qubo::random(16, &mut rng);
+        let q16 = Arc::new(Qubo::random(16, &mut rng));
         let err = AbsSession::resume(cfg.clone(), &q16, &path).unwrap_err();
         assert!(matches!(err, AbsError::Checkpoint(_)));
         // Same size, different problem: refused by the best re-audit.
-        let q32 = Qubo::random(32, &mut rng);
+        let q32 = Arc::new(Qubo::random(32, &mut rng));
         let err = AbsSession::resume(cfg.clone(), &q32, &path).unwrap_err();
         assert!(matches!(err, AbsError::Checkpoint(_)));
         // Wrong device count: refused by the baseline check.
@@ -1185,7 +1178,7 @@ mod tests {
         // come back as `Err(Checkpoint)` from `poll`, not vanish into a
         // log line — the serving layer turns this into `Failed{reason}`.
         let mut rng = StdRng::seed_from_u64(29);
-        let q = Qubo::random(32, &mut rng);
+        let q = Arc::new(Qubo::random(32, &mut rng));
         let path = temp_path("deny");
         let mut cfg = small_cfg(StopCondition::flips(u64::MAX / 2));
         cfg.checkpoint.out = Some(path.clone());
@@ -1212,7 +1205,7 @@ mod tests {
     #[test]
     fn stride_checkpoints_fire_from_the_poll_loop() {
         let mut rng = StdRng::seed_from_u64(27);
-        let q = Qubo::random(32, &mut rng);
+        let q = Arc::new(Qubo::random(32, &mut rng));
         let path = temp_path("stride");
         let mut cfg = small_cfg(StopCondition::timeout(Duration::from_millis(400)));
         cfg.checkpoint.out = Some(path.clone());

@@ -11,6 +11,7 @@ use crate::error::AbsError;
 use crate::session::AbsSession;
 use crate::stats::SolveResult;
 use qubo::Qubo;
+use std::sync::Arc;
 
 /// The Adaptive Bulk Search solver.
 ///
@@ -61,8 +62,13 @@ impl Abs {
     /// [`AbsError::AllDevicesFailed`] if every device fails before a
     /// single result arrives; [`AbsError::NoResult`] if the watchdog's
     /// hard timeout expires first.
+    ///
+    /// The session shares its problem with the devices through an
+    /// [`Arc`]; this convenience entry point copies `qubo` into one.
+    /// Callers that already hold an `Arc<Qubo>` (the job server, the
+    /// CLI) start an [`AbsSession`] directly and copy nothing.
     pub fn solve(&self, qubo: &Qubo) -> Result<SolveResult, AbsError> {
-        AbsSession::start(self.config.clone(), qubo)?.run_to_completion()
+        AbsSession::start(self.config.clone(), &Arc::new(qubo.clone()))?.run_to_completion()
     }
 }
 
@@ -319,6 +325,9 @@ mod tests {
         let q = Qubo::random(32, &mut rng);
         let mut cfg = AbsConfig::small();
         cfg.machine.device.blocks_override = Some(4);
+        // One worker cycles through every block, so block 1 reaches its
+        // fatal iteration inside the flip budget on any scheduler.
+        cfg.machine.device.workers = 1;
         cfg.machine.device.fault = Some(Arc::new(FaultPlan::new().panic_block(0, 1, 2)));
         cfg.stop = StopCondition::flips(30_000);
         let r = solve(cfg, &q);
@@ -381,6 +390,9 @@ mod tests {
         let q = Qubo::random(32, &mut rng);
         let mut cfg = AbsConfig::small();
         cfg.machine.device.blocks_override = Some(2);
+        // One worker cycles through both blocks, so block 0 reaches its
+        // corrupting iteration inside the flip budget on any scheduler.
+        cfg.machine.device.workers = 1;
         // Block 0 emits a record claiming an impossibly good energy for
         // the all-zeros solution; the host audit must re-price it and
         // throw it out.

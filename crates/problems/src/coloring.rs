@@ -13,7 +13,7 @@
 //! state *is* the certificate.
 
 use crate::graph::Graph;
-use qubo::{BitVec, Qubo, QuboBuilder, QuboError};
+use qubo::{BitVec, Qubo, QuboError};
 
 /// Default penalty weight.
 pub const DEFAULT_PENALTY: i64 = 4;
@@ -97,26 +97,27 @@ pub fn to_qubo(g: &Graph, k: usize, a: i64) -> Result<ColoringQubo, QuboError> {
         return Err(QuboError::BadSize(0));
     }
     let nv = g.n();
-    let mut b = QuboBuilder::new(nv * k)?;
+    let bits = nv * k;
+    let mut triplets = Vec::new();
     let as16 = |v: i64| i16::try_from(v).map_err(|_| QuboError::WeightOverflow(0, 0));
     let bit = |v: usize, c: usize| v * k + c;
     // One-hot per vertex (×2 scaling): diag −2A, in-vertex pairs +2A.
     for v in 0..nv {
         for c in 0..k {
-            b.add(bit(v, c), bit(v, c), as16(-2 * a)?)?;
+            triplets.push((bit(v, c), bit(v, c), as16(-2 * a)?));
             for c2 in (c + 1)..k {
-                b.add(bit(v, c), bit(v, c2), as16(2 * a)?)?;
+                triplets.push((bit(v, c), bit(v, c2), as16(2 * a)?));
             }
         }
     }
     // Monochromatic-edge penalty: pair +A (double-counted → 2A).
     for (u, v, _) in g.edges() {
         for c in 0..k {
-            b.add(bit(u, c), bit(v, c), as16(a)?)?;
+            triplets.push((bit(u, c), bit(v, c), as16(a)?));
         }
     }
     Ok(ColoringQubo {
-        qubo: b.build()?,
+        qubo: Qubo::from_triplets(bits, &triplets)?,
         n_vertices: nv,
         k,
         penalty: a,

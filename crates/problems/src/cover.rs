@@ -14,7 +14,7 @@
 //! `E(X) = 2·|cover| − 2·A·|E|`.
 
 use crate::graph::Graph;
-use qubo::{BitVec, Qubo, QuboBuilder, QuboError};
+use qubo::{BitVec, Qubo, QuboError};
 
 /// Default penalty: must exceed 1 (the cost of adding one vertex);
 /// Lucas recommends a comfortable margin.
@@ -27,21 +27,21 @@ pub const DEFAULT_PENALTY: i64 = 8;
 /// [`QuboError`] on weight overflow (high-degree vertices with a large
 /// penalty).
 pub fn to_qubo(g: &Graph, a: i64) -> Result<Qubo, QuboError> {
-    let mut b = QuboBuilder::new(g.n())?;
+    let mut triplets = Vec::new();
     let as16 =
         |v: i64, i: usize, j: usize| i16::try_from(v).map_err(|_| QuboError::WeightOverflow(i, j));
     // Cost term 2·Σ x_i.
     for v in 0..g.n() {
-        b.add(v, v, as16(2, v, v)?)?;
+        triplets.push((v, v, as16(2, v, v)?));
     }
     // Penalty 2·a·(1 − x_u)(1 − x_v) per edge: constant dropped,
     // −2a on each endpoint diagonal, +2a pair (double-counted → W = a).
     for (u, v, _) in g.edges() {
-        b.add(u, u, as16(-2 * a, u, u)?)?;
-        b.add(v, v, as16(-2 * a, v, v)?)?;
-        b.add(u, v, as16(a, u, v)?)?;
+        triplets.push((u, u, as16(-2 * a, u, u)?));
+        triplets.push((v, v, as16(-2 * a, v, v)?));
+        triplets.push((u, v, as16(a, u, v)?));
     }
-    b.build()
+    Qubo::from_triplets(g.n(), &triplets)
 }
 
 /// `true` if the vertex set `{i : x_i = 1}` covers every edge.

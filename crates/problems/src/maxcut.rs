@@ -12,7 +12,7 @@
 //! maximizes the cut.
 
 use crate::graph::Graph;
-use qubo::{BitVec, Qubo, QuboBuilder, QuboError, SparseQubo};
+use qubo::{BitVec, Qubo, QuboError, SparseQubo};
 
 /// Encodes Max-Cut on `g` as a QUBO with `E(X) = −cut(X)`.
 ///
@@ -20,17 +20,17 @@ use qubo::{BitVec, Qubo, QuboBuilder, QuboError, SparseQubo};
 /// [`QuboError`] if the graph is too large or a weighted degree
 /// overflows the 16-bit weight range.
 pub fn to_qubo(g: &Graph) -> Result<Qubo, QuboError> {
-    let mut b = QuboBuilder::new(g.n())?;
+    let mut triplets = Vec::new();
     for (u, v, w) in g.edges() {
         let w16 = i16::try_from(w).map_err(|_| QuboError::WeightOverflow(u, v))?;
-        b.add(u, v, w16)?;
+        triplets.push((u, v, w16));
     }
     for v in 0..g.n() {
         let d = g.weighted_degree(v);
         let d16 = i16::try_from(-d).map_err(|_| QuboError::WeightOverflow(v, v))?;
-        b.add(v, v, d16)?;
+        triplets.push((v, v, d16));
     }
-    b.build()
+    Qubo::from_triplets(g.n(), &triplets)
 }
 
 /// Encodes Max-Cut on `g` directly as a CSR [`SparseQubo`] with

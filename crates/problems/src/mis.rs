@@ -12,7 +12,7 @@
 //! number.
 
 use crate::graph::Graph;
-use qubo::{BitVec, Qubo, QuboBuilder, QuboError};
+use qubo::{BitVec, Qubo, QuboError};
 
 /// Default penalty (Lucas requires `A ≥ 1`; 2 gives slack).
 pub const DEFAULT_PENALTY: i64 = 2;
@@ -22,15 +22,15 @@ pub const DEFAULT_PENALTY: i64 = 2;
 /// # Errors
 /// [`QuboError`] on weight overflow.
 pub fn to_qubo(g: &Graph, a: i64) -> Result<Qubo, QuboError> {
-    let mut b = QuboBuilder::new(g.n())?;
+    let mut triplets = Vec::new();
     let a16 = i16::try_from(a).map_err(|_| QuboError::WeightOverflow(0, 0))?;
     for v in 0..g.n() {
-        b.add(v, v, -1)?;
+        triplets.push((v, v, -1));
     }
     for (u, v, _) in g.edges() {
-        b.add(u, v, a16)?;
+        triplets.push((u, v, a16));
     }
-    b.build()
+    Qubo::from_triplets(g.n(), &triplets)
 }
 
 /// `true` if `{v : x_v = 1}` is an independent set.

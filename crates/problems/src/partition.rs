@@ -12,7 +12,7 @@
 //!
 //! so a perfect partition reaches the known optimum `−total²`.
 
-use qubo::{BitVec, Qubo, QuboBuilder, QuboError};
+use qubo::{BitVec, Qubo, QuboError};
 
 /// Encodes a number-partitioning instance.
 ///
@@ -23,23 +23,23 @@ use qubo::{BitVec, Qubo, QuboBuilder, QuboError};
 #[allow(clippy::needless_range_loop)] // the (i, j) index pair mirrors W_ij
 pub fn to_qubo(values: &[u32]) -> Result<Qubo, QuboError> {
     let n = values.len();
-    let mut b = QuboBuilder::new(n)?;
+    let mut triplets = Vec::new();
     let total: i64 = values.iter().map(|&v| i64::from(v)).sum();
     for i in 0..n {
         let ai = i64::from(values[i]);
         // Diagonal: 4·a_i² − 4·total·a_i (x² = x).
         let diag = 4 * ai * ai - 4 * total * ai;
         let d16 = i16::try_from(diag).map_err(|_| QuboError::WeightOverflow(i, i))?;
-        b.add(i, i, d16)?;
+        triplets.push((i, i, d16));
         for j in (i + 1)..n {
             let aj = i64::from(values[j]);
             // Pair coefficient 8·a_i·a_j, double-counted → W = 4·a_i·a_j.
             let w = 4 * ai * aj;
             let w16 = i16::try_from(w).map_err(|_| QuboError::WeightOverflow(i, j))?;
-            b.add(i, j, w16)?;
+            triplets.push((i, j, w16));
         }
     }
-    b.build()
+    Qubo::from_triplets(n, &triplets)
 }
 
 /// The partition difference `|sum(S₁) − sum(S₀)|` encoded by `x`.

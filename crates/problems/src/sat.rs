@@ -16,7 +16,7 @@
 //! satisfying assignment, when one exists, is exactly a ground state of
 //! energy `−offset`.
 
-use qubo::{BitVec, Energy, Qubo, QuboBuilder, QuboError};
+use qubo::{BitVec, Energy, Qubo, QuboError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -124,7 +124,7 @@ impl Max2SatQubo {
 /// a pair (weight overflow). Tautologies `(x ∨ ¬x)` are accepted and
 /// contribute nothing.
 pub fn to_qubo(n_vars: usize, clauses: &[Clause]) -> Result<Max2SatQubo, QuboError> {
-    let mut b = QuboBuilder::new(n_vars)?;
+    let mut triplets = Vec::new();
     let mut offset = 0i64;
     // ×2-scaled violation terms. For a product of "falseness" factors
     // f(l) = (1 − x) for positive, x for negative:
@@ -143,9 +143,9 @@ pub fn to_qubo(n_vars: usize, clauses: &[Clause]) -> Result<Max2SatQubo, QuboErr
             (a, None) => {
                 // f(a): 1 − x (pos) or x (neg), ×2.
                 if a.negated {
-                    b.add(a.var, a.var, 2)?;
+                    triplets.push((a.var, a.var, 2));
                 } else {
-                    b.add(a.var, a.var, -2)?;
+                    triplets.push((a.var, a.var, -2));
                     offset += 2;
                 }
             }
@@ -153,9 +153,9 @@ pub fn to_qubo(n_vars: usize, clauses: &[Clause]) -> Result<Max2SatQubo, QuboErr
                 if a.negated == bb.negated {
                     // (l ∨ l) ≡ unit clause.
                     if a.negated {
-                        b.add(a.var, a.var, 2)?;
+                        triplets.push((a.var, a.var, 2));
                     } else {
-                        b.add(a.var, a.var, -2)?;
+                        triplets.push((a.var, a.var, -2));
                         offset += 2;
                     }
                 }
@@ -168,30 +168,30 @@ pub fn to_qubo(n_vars: usize, clauses: &[Clause]) -> Result<Max2SatQubo, QuboErr
                     (false, false) => {
                         // (1−x)(1−y) = 1 − x − y + xy
                         offset += 2;
-                        b.add(a.var, a.var, -2)?;
-                        b.add(bb.var, bb.var, -2)?;
-                        b.add(a.var, bb.var, 1)?;
+                        triplets.push((a.var, a.var, -2));
+                        triplets.push((bb.var, bb.var, -2));
+                        triplets.push((a.var, bb.var, 1));
                     }
                     (false, true) => {
                         // (1−x)·y = y − xy
-                        b.add(bb.var, bb.var, 2)?;
-                        b.add(a.var, bb.var, -1)?;
+                        triplets.push((bb.var, bb.var, 2));
+                        triplets.push((a.var, bb.var, -1));
                     }
                     (true, false) => {
                         // x·(1−y) = x − xy
-                        b.add(a.var, a.var, 2)?;
-                        b.add(a.var, bb.var, -1)?;
+                        triplets.push((a.var, a.var, 2));
+                        triplets.push((a.var, bb.var, -1));
                     }
                     (true, true) => {
                         // x·y
-                        b.add(a.var, bb.var, 1)?;
+                        triplets.push((a.var, bb.var, 1));
                     }
                 }
             }
         }
     }
     Ok(Max2SatQubo {
-        qubo: b.build()?,
+        qubo: Qubo::from_triplets(n_vars, &triplets)?,
         offset,
         clauses: clauses.to_vec(),
     })

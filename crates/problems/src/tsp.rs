@@ -19,7 +19,7 @@
 //! tours differ in ≥ 4 bits, which is what makes TSP QUBOs hard for
 //! single-flip local search — the paper's motivation for the GA layer.
 
-use qubo::{BitVec, Energy, Qubo, QuboBuilder, QuboError};
+use qubo::{BitVec, Energy, Qubo, QuboError};
 
 /// A symmetric TSP instance with integer distances.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -224,7 +224,8 @@ pub fn to_qubo(inst: &TspInstance) -> Result<TspQubo, QuboError> {
     let c = inst.c;
     let m = c - 1;
     let a = 2 * i64::from(inst.max_distance()); // penalty A
-    let mut b = QuboBuilder::new(m * m)?;
+    let bits = m * m;
+    let mut triplets = Vec::new();
     let bit = |city: usize, pos: usize| (city - 1) * m + (pos - 1);
     let as16 =
         |v: i64, i: usize, j: usize| i16::try_from(v).map_err(|_| QuboError::WeightOverflow(i, j));
@@ -234,14 +235,14 @@ pub fn to_qubo(inst: &TspInstance) -> Result<TspQubo, QuboError> {
     // in-row and in-column pairs +2A.
     for i in 1..c {
         for j in 1..c {
-            b.add(bit(i, j), bit(i, j), as16(-4 * a, i, j)?)?;
+            triplets.push((bit(i, j), bit(i, j), as16(-4 * a, i, j)?));
         }
     }
     for i in 1..c {
         for j1 in 1..c {
             for j2 in (j1 + 1)..c {
-                b.add(bit(i, j1), bit(i, j2), as16(2 * a, i, j1)?)?; // row
-                b.add(bit(j1, i), bit(j2, i), as16(2 * a, j1, i)?)?; // column
+                triplets.push((bit(i, j1), bit(i, j2), as16(2 * a, i, j1)?)); // row
+                triplets.push((bit(j1, i), bit(j2, i), as16(2 * a, j1, i)?)); // column
             }
         }
     }
@@ -257,20 +258,20 @@ pub fn to_qubo(inst: &TspInstance) -> Result<TspQubo, QuboError> {
                 continue;
             }
             for j in 1..(c - 1) {
-                b.add(bit(u, j), bit(v, j + 1), as16(d, u, v)?)?;
+                triplets.push((bit(u, j), bit(v, j + 1), as16(d, u, v)?));
             }
         }
     }
     for u in 1..c {
         let d0 = i64::from(inst.d(0, u));
         if d0 != 0 {
-            b.add(bit(u, 1), bit(u, 1), as16(2 * d0, 0, u)?)?;
-            b.add(bit(u, c - 1), bit(u, c - 1), as16(2 * d0, u, 0)?)?;
+            triplets.push((bit(u, 1), bit(u, 1), as16(2 * d0, 0, u)?));
+            triplets.push((bit(u, c - 1), bit(u, c - 1), as16(2 * d0, u, 0)?));
         }
     }
 
     Ok(TspQubo {
-        qubo: b.build()?,
+        qubo: Qubo::from_triplets(bits, &triplets)?,
         c,
         penalty: a,
     })

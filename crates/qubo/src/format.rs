@@ -17,7 +17,7 @@
 //! memory — the intended path for the large low-density instances the
 //! sparse flip tier targets.
 
-use crate::matrix::{Qubo, QuboBuilder, QuboError};
+use crate::matrix::{check_size, Qubo, QuboError};
 use crate::sparse::SparseQubo;
 use std::fmt::Write as _;
 
@@ -61,7 +61,32 @@ impl From<QuboError> for ParseError {
 /// # Errors
 /// See [`ParseError`].
 pub fn parse(text: &str) -> Result<Qubo, ParseError> {
-    let mut builder: Option<QuboBuilder> = None;
+    let (n, triplets) = read_triplets(text)?;
+    Qubo::from_triplets(n, &triplets).map_err(ParseError::Problem)
+}
+
+/// Parses a `.qubo` document straight into CSR form without building the
+/// dense matrix — O(nnz) memory instead of O(n²).
+///
+/// Accepts the same documents as [`parse`] with identical semantics:
+/// duplicate triplets (in either orientation) fold by accumulation, and
+/// a fold overflowing the 16-bit weight range is reported per cell.
+///
+/// # Errors
+/// See [`ParseError`].
+pub fn parse_sparse(text: &str) -> Result<SparseQubo, ParseError> {
+    let (n, triplets) = read_triplets(text)?;
+    SparseQubo::from_triplets(n, &triplets).map_err(ParseError::Problem)
+}
+
+/// `(i, j, w)` weight triplets, as the readers collect them.
+type Triplets = Vec<(usize, usize, i16)>;
+
+/// The triplet reader behind [`parse`] and [`parse_sparse`]: the
+/// program line's `nNodes` and every data line as `(i, j, w)`.
+fn read_triplets(text: &str) -> Result<(usize, Triplets), ParseError> {
+    let mut n: Option<usize> = None;
+    let mut triplets = Triplets::new();
     for (idx, raw) in text.lines().enumerate() {
         let ln = idx + 1;
         let line = raw.trim();
@@ -81,58 +106,12 @@ pub fn parse(text: &str) -> Result<Qubo, ParseError> {
                 .next()
                 .ok_or_else(|| ParseError::BadLine(ln, raw.into()))?;
             let _max: usize = next_num(&mut it, ln, raw)?;
-            let n: usize = next_num(&mut it, ln, raw)?;
-            let _couplers: usize = next_num(&mut it, ln, raw)?;
-            builder = Some(QuboBuilder::new(n)?);
-            continue;
-        }
-        let b = builder.as_mut().ok_or(ParseError::MissingProgramLine)?;
-        let mut it = line.split_whitespace();
-        let i: usize = next_num(&mut it, ln, raw)?;
-        let j: usize = next_num(&mut it, ln, raw)?;
-        let w: i64 = next_num(&mut it, ln, raw)?;
-        let w16 = i16::try_from(w).map_err(|_| ParseError::BadWeight(ln))?;
-        b.add(i, j, w16)?;
-    }
-    builder
-        .ok_or(ParseError::MissingProgramLine)?
-        .build()
-        .map_err(ParseError::Problem)
-}
-
-/// Parses a `.qubo` document straight into CSR form without building the
-/// dense matrix — O(nnz) memory instead of O(n²).
-///
-/// Accepts the same documents as [`parse`] with identical semantics:
-/// duplicate triplets (in either orientation) fold by accumulation, and
-/// a fold overflowing the 16-bit weight range is reported per cell.
-///
-/// # Errors
-/// See [`ParseError`].
-pub fn parse_sparse(text: &str) -> Result<SparseQubo, ParseError> {
-    let mut n: Option<usize> = None;
-    let mut triplets: Vec<(usize, usize, i16)> = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let ln = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('c') {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('p') {
-            let mut it = rest.split_whitespace();
-            let kind = it
-                .next()
-                .ok_or_else(|| ParseError::BadLine(ln, raw.into()))?;
-            if kind != "qubo" {
-                return Err(ParseError::BadLine(ln, raw.into()));
-            }
-            let _topology = it
-                .next()
-                .ok_or_else(|| ParseError::BadLine(ln, raw.into()))?;
-            let _max: usize = next_num(&mut it, ln, raw)?;
             let nodes: usize = next_num(&mut it, ln, raw)?;
             let couplers: usize = next_num(&mut it, ln, raw)?;
-            triplets.reserve(nodes.saturating_add(couplers));
+            check_size(nodes)?;
+            // The header's counts are claims: never reserve past what
+            // the text could hold (a data line is at least 6 bytes).
+            triplets.reserve(nodes.saturating_add(couplers).min(text.len() / 6));
             n = Some(nodes);
             continue;
         }
@@ -147,7 +126,7 @@ pub fn parse_sparse(text: &str) -> Result<SparseQubo, ParseError> {
         triplets.push((i, j, w16));
     }
     let n = n.ok_or(ParseError::MissingProgramLine)?;
-    SparseQubo::from_triplets(n, &triplets).map_err(ParseError::Problem)
+    Ok((n, triplets))
 }
 
 /// Parses a G-set–style edge list straight into CSR form, encoding the
@@ -172,7 +151,7 @@ pub fn parse_sparse(text: &str) -> Result<SparseQubo, ParseError> {
 /// [`ParseError::BadLine`].
 pub fn parse_edge_list(text: &str) -> Result<SparseQubo, ParseError> {
     let mut n: Option<usize> = None;
-    let mut triplets: Vec<(usize, usize, i16)> = Vec::new();
+    let mut triplets = Triplets::new();
     for (idx, raw) in text.lines().enumerate() {
         let ln = idx + 1;
         let line = raw.trim();
@@ -187,7 +166,10 @@ pub fn parse_edge_list(text: &str) -> Result<SparseQubo, ParseError> {
         let Some(nodes) = n else {
             let v: usize = next_num(&mut it, ln, raw)?;
             let edges: usize = next_num(&mut it, ln, raw)?;
-            triplets.reserve(edges.saturating_mul(3));
+            check_size(v)?;
+            // The header's edge count is a claim: never reserve past
+            // what the text could hold (an edge line is at least 4 bytes).
+            triplets.reserve(edges.min(text.len() / 4).saturating_mul(3));
             n = Some(v);
             continue;
         };
@@ -197,13 +179,14 @@ pub fn parse_edge_list(text: &str) -> Result<SparseQubo, ParseError> {
             Some(t) => t.parse().map_err(|_| ParseError::BadLine(ln, raw.into()))?,
             None => 1,
         };
-        let w16 = i16::try_from(w).map_err(|_| ParseError::BadWeight(ln))?;
-        // `−w` must also fit the weight range, and edge-list ids are
-        // 1-based with no self-loops.
-        let neg = w16.checked_neg().ok_or(ParseError::BadWeight(ln))?;
+        // Edge-list ids are 1-based with no self-loops; checked before
+        // the weight, in the order the JSON edge-list codec checks them.
         if u == 0 || v == 0 || u == v || u > nodes || v > nodes {
             return Err(ParseError::BadLine(ln, raw.into()));
         }
+        let w16 = i16::try_from(w).map_err(|_| ParseError::BadWeight(ln))?;
+        // `−w` must also fit the weight range.
+        let neg = w16.checked_neg().ok_or(ParseError::BadWeight(ln))?;
         let (a, b) = (u - 1, v - 1);
         triplets.push((a, b, w16));
         triplets.push((a, a, neg));
@@ -240,11 +223,8 @@ pub fn to_string(q: &Qubo) -> String {
         }
     }
     for i in 0..n {
-        for j in (i + 1)..n {
-            let w = q.get(i, j);
-            if w != 0 {
-                let _ = writeln!(out, "{i} {j} {w}");
-            }
+        for (j, w) in q.row_nonzeros(i, i + 1) {
+            let _ = writeln!(out, "{i} {j} {w}");
         }
     }
     out
@@ -435,7 +415,7 @@ mod tests {
             parse_sparse("p qubo 0 2 2 1\n0 5 1\n").unwrap_err(),
             ParseError::Problem(QuboError::IndexOutOfRange(5))
         ));
-        // Folding overflow is caught per cell, exactly like QuboBuilder.
+        // Folding overflow is caught per cell by both readers.
         let text = "p qubo 0 2 2 1\n0 1 30000\n1 0 30000\n";
         assert!(matches!(
             parse_sparse(text).unwrap_err(),

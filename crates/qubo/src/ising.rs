@@ -8,7 +8,7 @@
 
 use crate::bitvec::BitVec;
 use crate::energy::{phi, Energy};
-use crate::matrix::{Qubo, QuboBuilder, QuboError};
+use crate::matrix::{Qubo, QuboError};
 
 /// A fully-connected Ising model with integer couplings.
 ///
@@ -138,7 +138,7 @@ impl Ising {
     /// [`QuboError::WeightOverflow`] if a weight exceeds the 16-bit range.
     pub fn to_qubo(&self) -> Result<(Qubo, i64), QuboError> {
         let n = self.n;
-        let mut b = QuboBuilder::new(n)?;
+        let mut triplets = Vec::new();
         let mut pair_sum = 0i64;
         let mut h_sum = 0i64;
         for i in 0..n {
@@ -153,16 +153,16 @@ impl Ising {
                     pair_sum += jij;
                     let w = -2 * jij;
                     let w16 = i16::try_from(w).map_err(|_| QuboError::WeightOverflow(i, jdx))?;
-                    b.add(i, jdx, w16)?;
+                    triplets.push((i, jdx, w16));
                 }
             }
             h_sum += self.h[i];
             let diag = 2 * self.h[i] + 2 * jrow;
             let d16 = i16::try_from(diag).map_err(|_| QuboError::WeightOverflow(i, i))?;
-            b.add(i, i, d16)?;
+            triplets.push((i, i, d16));
         }
         let offset = self.offset - pair_sum - h_sum;
-        Ok((b.build()?, offset))
+        Ok((Qubo::from_triplets(n, &triplets)?, offset))
     }
 }
 

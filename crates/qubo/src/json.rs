@@ -23,7 +23,7 @@
 //! are rejected with a typed error rather than truncated; JSON itself
 //! cannot encode NaN, so a literal `NaN` fails at the syntax layer.
 
-use crate::matrix::{Qubo, QuboBuilder, QuboError};
+use crate::matrix::{check_size, Qubo, QuboError};
 
 /// A typed rejection of a JSON problem payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -209,23 +209,25 @@ fn parse_dense(value: &serde_json::Value) -> Result<Qubo, JsonProblemError> {
             got: upper.len(),
         });
     }
-    let mut b = QuboBuilder::new(n)?;
+    let mut q = Qubo::zero(n)?;
     let mut k = 0usize;
     for i in 0..n {
         for j in i..n {
             let w = weight_at(&upper[k], "upper", k)?;
             if w != 0 {
-                b.add(i, j, w)?;
+                q.set(i, j, w);
             }
             k += 1;
         }
     }
-    Ok(b.build()?)
+    Ok(q)
 }
 
 /// Decodes the `"edge-list"` encoding with the Max-Cut QUBO mapping of
 /// [`crate::format::parse_edge_list`]: duplicate edges fold by
-/// accumulation, and the accumulated cell must still fit `i16`.
+/// accumulation, and the accumulated cell must still fit `i16`. The
+/// edges fold in O(nnz) memory ([`Qubo::from_triplets`]); only the
+/// final dense matrix is O(n²).
 fn parse_edge_list(value: &serde_json::Value) -> Result<Qubo, JsonProblemError> {
     let n = usize_field(value, "n")?;
     let edges = value
@@ -236,7 +238,8 @@ fn parse_edge_list(value: &serde_json::Value) -> Result<Qubo, JsonProblemError> 
             field: "edges",
             expected: "an array of [u, v, w] triples",
         })?;
-    let mut b = QuboBuilder::new(n)?;
+    check_size(n)?;
+    let mut triplets = Vec::with_capacity(edges.len().saturating_mul(3));
     for (index, e) in edges.iter().enumerate() {
         let triple = e.as_array().ok_or(JsonProblemError::BadEdge {
             index,
@@ -276,11 +279,9 @@ fn parse_edge_list(value: &serde_json::Value) -> Result<Qubo, JsonProblemError> 
             index,
             value: i64::from(w),
         })?;
-        b.add(u - 1, v - 1, w)?;
-        b.add(u - 1, u - 1, neg)?;
-        b.add(v - 1, v - 1, neg)?;
+        triplets.extend([(u - 1, v - 1, w), (u - 1, u - 1, neg), (v - 1, v - 1, neg)]);
     }
-    Ok(b.build()?)
+    Ok(Qubo::from_triplets(n, &triplets)?)
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ pub use bitvec::BitVec;
 pub use energy::{phi, Energy};
 pub use ising::Ising;
 pub use json::JsonProblemError;
-pub use matrix::{ContentHash, Qubo, QuboBuilder, QuboError, ROW_ALIGN_BYTES, ROW_LANE};
+pub use matrix::{ContentHash, Qubo, QuboError, ROW_ALIGN_BYTES, ROW_LANE};
 pub use sparse::SparseQubo;
 pub use stats::InstanceStats;
 pub use storage::{CouplingMatrix, MatrixStorage, SPARSE_DENSITY_PER_MILLE};

@@ -2,6 +2,7 @@
 
 use crate::bitvec::BitVec;
 use crate::energy::phi;
+use crate::sparse::SparseQubo;
 use crate::MAX_BITS;
 use rand::Rng;
 use std::fmt;
@@ -52,6 +53,14 @@ pub const ROW_LANE: usize = 32;
 /// Byte alignment of row 0 (and, since the stride is a [`ROW_LANE`]
 /// multiple, of every row).
 pub const ROW_ALIGN_BYTES: usize = ROW_LANE * 2;
+
+/// Checks a problem size against the supported range `1..=MAX_BITS`.
+pub(crate) fn check_size(n: usize) -> Result<(), QuboError> {
+    if n == 0 || n > MAX_BITS {
+        return Err(QuboError::BadSize(n));
+    }
+    Ok(())
+}
 
 /// Allocates a zeroed padded backing buffer for an `n`-bit problem:
 /// `(stride, element offset of row 0, buffer)`. The buffer is
@@ -127,9 +136,7 @@ impl Qubo {
     /// # Errors
     /// Returns [`QuboError::BadSize`] if `n == 0` or `n > MAX_BITS`.
     pub fn zero(n: usize) -> Result<Self, QuboError> {
-        if n == 0 || n > MAX_BITS {
-            return Err(QuboError::BadSize(n));
-        }
+        check_size(n)?;
         let (stride, off, w) = padded_alloc(n);
         Ok(Self { n, stride, off, w })
     }
@@ -140,9 +147,7 @@ impl Qubo {
     /// [`QuboError::BadShape`] if `w.len() != n²`,
     /// [`QuboError::NotSymmetric`] if `w[i][j] != w[j][i]`.
     pub fn from_dense(n: usize, w: Vec<i16>) -> Result<Self, QuboError> {
-        if n == 0 || n > MAX_BITS {
-            return Err(QuboError::BadSize(n));
-        }
+        check_size(n)?;
         if w.len() != n * n {
             return Err(QuboError::BadShape {
                 got: w.len(),
@@ -174,6 +179,41 @@ impl Qubo {
             w.extend_from_slice(row);
         }
         Self::from_dense(n, w)
+    }
+
+    /// Densifies a CSR instance: one zeroed padded allocation, then one
+    /// write per stored entry — O(nnz) work on top of the allocation,
+    /// whose untouched pages stay zero.
+    #[must_use]
+    pub fn from_sparse(s: &SparseQubo) -> Self {
+        // A `SparseQubo` only exists for sizes in 1..=MAX_BITS, so no
+        // size check is needed here.
+        let n = s.n();
+        let (stride, off, w) = padded_alloc(n);
+        let mut q = Self { n, stride, off, w };
+        for i in 0..n {
+            let d = q.idx(i, i);
+            q.w[d] = s.diag(i);
+            let base = q.idx(i, 0);
+            let (cols, vals) = s.row_parts(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                q.w[base + j as usize] = v;
+            }
+        }
+        q
+    }
+
+    /// Builds an instance from `(i, j, w)` triplets with the
+    /// [`SparseQubo::from_triplets`] semantics: either triangle order,
+    /// duplicates summed, an accumulated weight outside `i16` reported
+    /// as [`QuboError::WeightOverflow`] at its first cell in row-major
+    /// order. Memory stays O(nnz) until the dense matrix itself is
+    /// allocated.
+    ///
+    /// # Errors
+    /// As [`SparseQubo::from_triplets`].
+    pub fn from_triplets(n: usize, triplets: &[(usize, usize, i16)]) -> Result<Self, QuboError> {
+        SparseQubo::from_triplets(n, triplets).map(|s| Self::from_sparse(&s))
     }
 
     /// Creates a synthetic random problem: every weight drawn uniformly
@@ -262,15 +302,34 @@ impl Qubo {
     /// Number of non-zero off-diagonal couplers `(i < j)`.
     #[must_use]
     pub fn coupler_count(&self) -> usize {
-        let mut c = 0;
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                if self.get(i, j) != 0 {
-                    c += 1;
-                }
-            }
-        }
-        c
+        (0..self.n)
+            .map(|i| self.row_nonzeros(i, i + 1).count())
+            .sum()
+    }
+
+    /// The non-zero weights `(j, W_kj)` of row `k` with `j ≥ from`, in
+    /// column order. The scan tests whole [`ROW_LANE`] chunks of the
+    /// padded row for zero first, so a sparse row costs one vector OR
+    /// per 32 columns plus O(non-zeros); pad lanes are zero and never
+    /// yielded.
+    pub(crate) fn row_nonzeros(
+        &self,
+        k: usize,
+        from: usize,
+    ) -> impl Iterator<Item = (usize, i16)> + '_ {
+        let first = from / ROW_LANE * ROW_LANE;
+        self.row_padded(k)[first..]
+            .chunks_exact(ROW_LANE)
+            .enumerate()
+            .filter(|(_, chunk)| chunk.iter().fold(0, |acc, &w| acc | w) != 0)
+            .flat_map(move |(c, chunk)| {
+                let base = first + c * ROW_LANE;
+                chunk
+                    .iter()
+                    .enumerate()
+                    .map(move |(lane, &w)| (base + lane, w))
+                    .filter(move |&(j, w)| w != 0 && j >= from)
+            })
     }
 
     /// Reference energy function `E(X) = Σ_{i,j} W_ij x_i x_j` (Eq. (1)).
@@ -349,11 +408,16 @@ impl Qubo {
     }
 
     /// 256-bit content digest over the *canonical* form of the
-    /// instance: `n` followed by the upper triangle `W_ij (i ≤ j)` in
-    /// row-major order. Padding, stride and storage tier never enter
-    /// the digest, so two logically equal instances always hash equal
-    /// regardless of how they were built, and any single-weight
-    /// mutation changes the digest.
+    /// instance: `n`, then one packed word `(i·n + j) << 16 | (W_ij as
+    /// u16)` per non-zero upper-triangle cell `W_ij (i ≤ j)` in
+    /// row-major order. Zero cells are implied by their absence, so the
+    /// digest costs a chunked zero scan plus O(non-zeros) absorptions.
+    /// Padding, stride and storage tier never enter the digest, so two
+    /// logically equal instances always hash equal regardless of how
+    /// they were built; any single-weight change — including a zero ↔
+    /// non-zero flip or moving a weight to another cell — changes the
+    /// absorbed stream and so the digest. (`i·n + j < 2³⁰` at
+    /// [`MAX_BITS`], so the packing is injective.)
     ///
     /// The construction is BLAKE-inspired but *not* cryptographic
     /// (this crate takes no dependencies): four independently seeded
@@ -365,11 +429,11 @@ impl Qubo {
         let mut lanes = ContentLanes::new();
         lanes.absorb(self.n as u64);
         for i in 0..self.n {
-            for j in i..self.n {
-                // Widen through u16 so -1 and 65535 stay distinct
-                // from each other only via the two's-complement map,
-                // deterministically on every platform.
-                lanes.absorb(u64::from(self.get(i, j) as u16));
+            for (j, w) in self.row_nonzeros(i, i) {
+                // Widen through u16 so the weight occupies exactly the
+                // low 16 bits, deterministically on every platform.
+                let cell = (i * self.n + j) as u64;
+                lanes.absorb(cell << 16 | u64::from(w as u16));
             }
         }
         lanes.finish()
@@ -481,72 +545,6 @@ impl ContentLanes {
     }
 }
 
-/// Incremental builder accumulating sparse triplets into a [`Qubo`].
-///
-/// Duplicate `(i, j)` entries are summed; accumulation happens in `i32`
-/// and overflow of the final 16-bit weight is reported, never wrapped.
-pub struct QuboBuilder {
-    n: usize,
-    acc: Vec<i32>,
-}
-
-impl QuboBuilder {
-    /// Creates a builder for an `n`-bit problem.
-    ///
-    /// # Errors
-    /// [`QuboError::BadSize`] if `n` is out of range.
-    pub fn new(n: usize) -> Result<Self, QuboError> {
-        if n == 0 || n > MAX_BITS {
-            return Err(QuboError::BadSize(n));
-        }
-        Ok(Self {
-            n,
-            acc: vec![0i32; n * n],
-        })
-    }
-
-    /// Number of bits.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Adds `v` to `W_ij` (and `W_ji`).
-    ///
-    /// # Errors
-    /// [`QuboError::IndexOutOfRange`] for a bad index.
-    pub fn add(&mut self, i: usize, j: usize, v: i16) -> Result<(), QuboError> {
-        if i >= self.n {
-            return Err(QuboError::IndexOutOfRange(i));
-        }
-        if j >= self.n {
-            return Err(QuboError::IndexOutOfRange(j));
-        }
-        self.acc[i * self.n + j] += i32::from(v);
-        if i != j {
-            self.acc[j * self.n + i] += i32::from(v);
-        }
-        Ok(())
-    }
-
-    /// Finalizes the builder into a [`Qubo`].
-    ///
-    /// # Errors
-    /// [`QuboError::WeightOverflow`] if any accumulated weight does not
-    /// fit in `i16`.
-    pub fn build(self) -> Result<Qubo, QuboError> {
-        let n = self.n;
-        let mut w = Vec::with_capacity(n * n);
-        for (idx, &v) in self.acc.iter().enumerate() {
-            match i16::try_from(v) {
-                Ok(v16) => w.push(v16),
-                Err(_) => return Err(QuboError::WeightOverflow(idx / n, idx % n)),
-            }
-        }
-        Qubo::from_dense(n, w)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -628,33 +626,64 @@ mod tests {
     }
 
     #[test]
-    fn builder_accumulates_and_symmetrizes() {
-        let mut b = QuboBuilder::new(3).unwrap();
-        b.add(0, 1, 5).unwrap();
-        b.add(1, 0, 2).unwrap();
-        b.add(2, 2, -7).unwrap();
-        let q = b.build().unwrap();
+    fn from_triplets_accumulates_and_symmetrizes() {
+        let q = Qubo::from_triplets(3, &[(0, 1, 5), (1, 0, 2), (2, 2, -7)]).unwrap();
         assert_eq!(q.get(0, 1), 7);
         assert_eq!(q.get(1, 0), 7);
         assert_eq!(q.diag(2), -7);
+        // The dense matrix is the CSR decode, cell for cell.
+        let s = SparseQubo::from_triplets(3, &[(0, 1, 7), (2, 2, -7)]).unwrap();
+        assert_eq!(q, Qubo::from_sparse(&s));
+        assert_eq!(SparseQubo::from_dense(&q), s);
     }
 
     #[test]
-    fn builder_detects_overflow() {
-        let mut b = QuboBuilder::new(2).unwrap();
-        b.add(0, 0, i16::MAX).unwrap();
-        b.add(0, 0, 1).unwrap();
-        assert!(matches!(
-            b.build().unwrap_err(),
+    fn from_triplets_detects_overflow() {
+        assert_eq!(
+            Qubo::from_triplets(2, &[(0, 0, i16::MAX), (0, 0, 1)]).unwrap_err(),
             QuboError::WeightOverflow(0, 0)
-        ));
+        );
     }
 
     #[test]
-    fn builder_rejects_out_of_range() {
-        let mut b = QuboBuilder::new(2).unwrap();
-        assert_eq!(b.add(2, 0, 1).unwrap_err(), QuboError::IndexOutOfRange(2));
-        assert_eq!(b.add(0, 5, 1).unwrap_err(), QuboError::IndexOutOfRange(5));
+    fn from_triplets_rejects_out_of_range() {
+        assert_eq!(
+            Qubo::from_triplets(2, &[(2, 0, 1)]).unwrap_err(),
+            QuboError::IndexOutOfRange(2)
+        );
+        assert_eq!(
+            Qubo::from_triplets(2, &[(0, 5, 1)]).unwrap_err(),
+            QuboError::IndexOutOfRange(5)
+        );
+    }
+
+    #[test]
+    fn from_sparse_keeps_the_padding_contract() {
+        let s = SparseQubo::from_triplets(40, &[(0, 39, 3), (33, 33, -2), (5, 34, 1)]).unwrap();
+        let q = Qubo::from_sparse(&s);
+        assert_eq!(q.get(39, 0), 3);
+        assert_eq!(q.diag(33), -2);
+        for k in 0..40 {
+            let padded = q.row_padded(k);
+            assert_eq!(padded.as_ptr() as usize % ROW_ALIGN_BYTES, 0);
+            assert!(padded[40..].iter().all(|&v| v == 0), "pad not zero");
+        }
+        assert_eq!(q.coupler_count(), 2);
+    }
+
+    #[test]
+    fn row_nonzeros_skips_zero_chunks_and_honours_from() {
+        let mut q = Qubo::zero(100).unwrap();
+        q.set(3, 3, 4);
+        q.set(3, 31, -1);
+        q.set(3, 32, 2);
+        q.set(3, 99, 7);
+        let all: Vec<_> = q.row_nonzeros(3, 0).collect();
+        assert_eq!(all, vec![(3, 4), (31, -1), (32, 2), (99, 7)]);
+        let tail: Vec<_> = q.row_nonzeros(3, 32).collect();
+        assert_eq!(tail, vec![(32, 2), (99, 7)]);
+        assert_eq!(q.row_nonzeros(0, 0).count(), 0);
+        assert_eq!(q.row_nonzeros(99, 99).count(), 0);
     }
 
     #[test]
@@ -746,20 +775,40 @@ mod tests {
 
     #[test]
     fn content_hash_is_canonical_over_logical_equality() {
-        // Two construction paths for the same instance (dense vs
-        // builder) must digest identically: the hash reads the
+        // Two construction paths for the same instance (dense rows vs
+        // triplets) must digest identically: the hash reads the
         // canonical upper triangle, never the physical layout.
         let q = paper_fig1();
-        let mut b = QuboBuilder::new(4).unwrap();
+        let mut triplets = Vec::new();
         for i in 0..4 {
             for j in i..4 {
-                b.add(i, j, q.get(i, j)).unwrap();
+                triplets.push((i, j, q.get(i, j)));
             }
         }
-        let twin = b.build().unwrap();
+        let twin = Qubo::from_triplets(4, &triplets).unwrap();
         assert_eq!(q, twin);
         assert_eq!(q.content_hash(), twin.content_hash());
         assert_eq!(q.content_hash().to_hex().len(), 64);
+    }
+
+    #[test]
+    fn content_hash_absorbs_positions_not_just_weights() {
+        // The stream is one packed word per non-zero cell, so a weight
+        // that moves, or a zero that becomes non-zero, changes it.
+        let mut a = Qubo::zero(40).unwrap();
+        a.set(1, 2, 5);
+        let mut moved = Qubo::zero(40).unwrap();
+        moved.set(1, 3, 5);
+        let mut extra = a.clone();
+        extra.set(39, 39, 1);
+        let h = a.content_hash();
+        assert_ne!(h, moved.content_hash());
+        assert_ne!(h, extra.content_hash());
+        // The packing keys cells by `i·n + j`: the same (i, j, w) in a
+        // different n must not collide either.
+        let mut b = Qubo::zero(41).unwrap();
+        b.set(1, 2, 5);
+        assert_ne!(h, b.content_hash());
     }
 
     #[test]

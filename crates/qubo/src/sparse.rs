@@ -8,8 +8,8 @@
 //! `qubo_search::sparse::SparseDeltaTracker`; the dense/sparse trade-off
 //! is measured in the `sparse_vs_dense` benchmark.
 
-use crate::matrix::{Qubo, QuboError};
-use crate::{BitVec, Energy, MAX_BITS};
+use crate::matrix::{check_size, Qubo, QuboError};
+use crate::{BitVec, Energy};
 
 /// A QUBO in compressed-sparse-row form: for each row `k`, the non-zero
 /// off-diagonal entries `(j, W_kj)` plus the diagonal `W_kk`.
@@ -27,7 +27,8 @@ pub struct SparseQubo {
 }
 
 impl SparseQubo {
-    /// Builds the sparse form of a dense instance. O(n²).
+    /// Builds the sparse form of a dense instance: an O(n²) scan that
+    /// skips all-zero [`crate::ROW_LANE`] chunks, plus O(nnz) writes.
     #[must_use]
     pub fn from_dense(q: &Qubo) -> Self {
         let n = q.n();
@@ -37,9 +38,8 @@ impl SparseQubo {
         let mut diag = Vec::with_capacity(n);
         row_start.push(0u32);
         for i in 0..n {
-            let row = q.row(i);
-            for (j, &w) in row.iter().enumerate() {
-                if j != i && w != 0 {
+            for (j, w) in q.row_nonzeros(i, 0) {
+                if j != i {
                     cols.push(j as u32);
                     vals.push(w);
                 }
@@ -59,17 +59,22 @@ impl SparseQubo {
     /// Builds directly from sparse triplets (`i < j` pairs may appear in
     /// any order; duplicates sum; both triangle orders accepted).
     ///
+    /// O(n + nnz) memory and O(n + Σ_rows deg·log deg) time: the
+    /// off-diagonal triplets are bucketed by row (both orientations),
+    /// each bucket is sorted by column and folded. Sums accumulate in
+    /// `i64`, so only the final weight of a cell must fit `i16`; the
+    /// first cell that does not, in row-major order of the full
+    /// matrix, is reported.
+    ///
     /// # Errors
     /// Same domain as [`Qubo`]: size in `1..=MAX_BITS`, indices in
     /// range, accumulated weights within `i16`.
     pub fn from_triplets(n: usize, triplets: &[(usize, usize, i16)]) -> Result<Self, QuboError> {
-        if n == 0 || n > MAX_BITS {
-            return Err(QuboError::BadSize(n));
-        }
-        // Accumulate per-row maps to keep memory O(nnz), not O(n²).
-        let mut diag_acc = vec![0i32; n];
-        let mut rows: Vec<std::collections::BTreeMap<u32, i32>> =
-            vec![std::collections::BTreeMap::new(); n];
+        check_size(n)?;
+        // Pass 1: validate, accumulate the diagonal, and count each
+        // row's off-diagonal entries (shifted by one for the prefix sum).
+        let mut diag_acc = vec![0i64; n];
+        let mut bucket = vec![0usize; n + 1];
         for &(i, j, w) in triplets {
             if i >= n {
                 return Err(QuboError::IndexOutOfRange(i));
@@ -79,31 +84,57 @@ impl SparseQubo {
             }
             if i == j {
                 // invariant: i < n checked above; diag_acc has length n.
-                diag_acc[i] += i32::from(w);
+                diag_acc[i] += i64::from(w);
             } else {
-                // invariant: i and j both range-checked against n above.
-                *rows[i].entry(j as u32).or_insert(0) += i32::from(w);
-                *rows[j].entry(i as u32).or_insert(0) += i32::from(w);
+                // invariant: i, j < n checked above; bucket has n + 1 slots.
+                bucket[i + 1] += 1;
+                bucket[j + 1] += 1;
             }
         }
+        for k in 0..n {
+            // invariant: k + 1 ≤ n < bucket.len().
+            bucket[k + 1] += bucket[k];
+        }
+        // Pass 2: scatter both orientations into their row buckets.
+        // invariant: bucket has n + 1 entries, the last is the total.
+        let mut entries = vec![(0u32, 0i16); bucket[n]];
+        let mut cursor = bucket.clone();
+        for &(i, j, w) in triplets {
+            if i != j {
+                for (r, c) in [(i, j), (j, i)] {
+                    // invariant: r < n (validated in pass 1) and the
+                    // cursor stays below bucket[r + 1] by the counts.
+                    entries[cursor[r]] = (c as u32, w);
+                    cursor[r] += 1;
+                }
+            }
+        }
+        // Pass 3: per row, check the diagonal (it precedes every
+        // surviving column, since a column j < i of row i was already
+        // checked as column i of row j), then fold each column's run.
         let mut row_start = Vec::with_capacity(n + 1);
         let mut cols = Vec::new();
         let mut vals = Vec::new();
         let mut diag = Vec::with_capacity(n);
         row_start.push(0u32);
         for i in 0..n {
-            // invariant: i < n = rows.len() = diag_acc.len().
-            for (&j, &w) in &rows[i] {
-                if w != 0 {
+            // invariant: i < n = diag_acc.len() by the loop bound.
+            let d16 = i16::try_from(diag_acc[i]).map_err(|_| QuboError::WeightOverflow(i, i))?;
+            diag.push(d16);
+            // invariant: bucket[i] ≤ bucket[i + 1] ≤ entries.len().
+            let row = &mut entries[bucket[i]..bucket[i + 1]];
+            row.sort_unstable_by_key(|&(c, _)| c);
+            for run in row.chunk_by(|a, b| a.0 == b.0) {
+                let sum: i64 = run.iter().map(|&(_, w)| i64::from(w)).sum();
+                if sum != 0 {
+                    // invariant: runs are non-empty slices.
+                    let j = run[0].0;
                     let w16 =
-                        i16::try_from(w).map_err(|_| QuboError::WeightOverflow(i, j as usize))?;
+                        i16::try_from(sum).map_err(|_| QuboError::WeightOverflow(i, j as usize))?;
                     cols.push(j);
                     vals.push(w16);
                 }
             }
-            // invariant: i < n = diag_acc.len() by the loop bound.
-            let d16 = i16::try_from(diag_acc[i]).map_err(|_| QuboError::WeightOverflow(i, i))?;
-            diag.push(d16);
             row_start.push(cols.len() as u32);
         }
         Ok(Self {
@@ -273,11 +304,31 @@ mod tests {
     fn triplet_and_dense_paths_agree() {
         let triplets = [(0usize, 1usize, 4i16), (1, 2, -3), (0, 0, 7), (2, 3, 1)];
         let s1 = SparseQubo::from_triplets(4, &triplets).unwrap();
-        let mut b = crate::QuboBuilder::new(4).unwrap();
+        let mut q = Qubo::zero(4).unwrap();
         for &(i, j, w) in &triplets {
-            b.add(i, j, w).unwrap();
+            q.set(i, j, q.get(i, j) + w);
         }
-        let s2 = SparseQubo::from_dense(&b.build().unwrap());
+        let s2 = SparseQubo::from_dense(&q);
         assert_eq!(s1, s2);
+    }
+
+    #[test]
+    fn overflow_is_reported_at_the_first_row_major_cell() {
+        // Row 0 overflows at its diagonal and at (0, 1): the diagonal
+        // comes first in row-major order.
+        let t = [
+            (0, 1, 30_000),
+            (1, 0, 30_000),
+            (0, 0, 30_000),
+            (0, 0, 30_000),
+        ];
+        assert_eq!(
+            SparseQubo::from_triplets(2, &t),
+            Err(QuboError::WeightOverflow(0, 0))
+        );
+        // An intermediate excursion past i16 is fine if the sum fits.
+        let s = SparseQubo::from_triplets(2, &[(0, 1, 30_000), (1, 0, 30_000), (0, 1, -30_000)])
+            .unwrap();
+        assert!(s.row(0).eq([(1, 30_000)]));
     }
 }

@@ -6,6 +6,7 @@ use abs_telemetry::{Event, EventKind, EventRing};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 /// Reference model: an unbounded queue truncated to capacity from the
 /// front (overwrite-oldest).
@@ -108,10 +109,13 @@ proptest! {
 /// drains (single producer, FIFO ring).
 #[test]
 fn drain_while_writing_racing_producer() {
-    let ring = EventRing::with_capacity(64);
+    const CAPACITY: usize = 64;
+    let ring = EventRing::with_capacity(CAPACITY);
     let stop = AtomicBool::new(false);
+    let start = Barrier::new(2);
     let produced = std::thread::scope(|s| {
         let producer = s.spawn(|| {
+            start.wait();
             let mut i = 0u64;
             while !stop.load(Ordering::Acquire) {
                 ring.record(Event::straight_walk(i));
@@ -119,6 +123,14 @@ fn drain_while_writing_racing_producer() {
             }
             i
         });
+        // Do not assume the producer ran by the time the drains start:
+        // on a single core the consumer's drain rounds can otherwise
+        // finish before the producer's first write.
+        start.wait();
+        while ring.stats().written < CAPACITY as u64 {
+            std::hint::spin_loop();
+            std::thread::yield_now();
+        }
         let mut drained: Vec<Event> = Vec::new();
         for _ in 0..2000 {
             drained.extend(ring.drain().events);

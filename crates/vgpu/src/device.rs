@@ -18,7 +18,7 @@ use crate::fault::{self, Corruption, FaultPlan, InjectedPanic};
 use crate::occupancy::{full_occupancy_configs, occupancy, OccupancyError};
 use crate::spec::DeviceSpec;
 use abs_telemetry::Event;
-use qubo::{BitVec, MatrixStorage, Qubo, SparseQubo};
+use qubo::{BitVec, Energy, MatrixStorage, Qubo, SparseQubo};
 use qubo_search::{DeltaTracker, FlipKernel, SearchTracker};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -126,6 +126,62 @@ impl fmt::Display for ResolveError {
 
 impl std::error::Error for ResolveError {}
 
+/// The instance a machine's devices search, in the storage arm picked
+/// once for the whole machine: every device of a sparse machine shares
+/// one CSR conversion instead of re-deriving its own.
+#[derive(Clone, Debug)]
+pub enum DeviceMatrix {
+    /// Dense padded rows — the SIMD flip tier.
+    Dense(Arc<Qubo>),
+    /// Compressed sparse rows — the O(degree) flip tier.
+    Sparse(Arc<SparseQubo>),
+}
+
+impl DeviceMatrix {
+    /// Runs the storage dispatch once ([`MatrixStorage::select`], by
+    /// measured coupler density, pinnable via `ABS_FORCE_DENSE` /
+    /// `ABS_FORCE_SPARSE`) and, on the sparse arm, the one CSR
+    /// conversion the devices share. The dense arm shares `q` itself.
+    #[must_use]
+    pub fn from_problem(q: &Arc<Qubo>) -> Self {
+        match MatrixStorage::select(q.as_ref()) {
+            MatrixStorage::Sparse => Self::Sparse(Arc::new(SparseQubo::from_dense(q))),
+            MatrixStorage::Dense => Self::Dense(Arc::clone(q)),
+        }
+    }
+
+    /// The storage arm.
+    #[must_use]
+    pub fn storage(&self) -> MatrixStorage {
+        match self {
+            Self::Dense(_) => MatrixStorage::Dense,
+            Self::Sparse(_) => MatrixStorage::Sparse,
+        }
+    }
+
+    /// Number of bits.
+    #[must_use]
+    pub fn n(&self) -> usize {
+        match self {
+            Self::Dense(q) => q.n(),
+            Self::Sparse(s) => s.n(),
+        }
+    }
+
+    /// Reference energy `E(X)` on the stored arm: O(|ones|²) dense,
+    /// O(n + nnz) sparse.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != n`.
+    #[must_use]
+    pub fn energy(&self, x: &BitVec) -> Energy {
+        match self {
+            Self::Dense(q) => q.energy(x),
+            Self::Sparse(s) => s.energy(x),
+        }
+    }
+}
+
 /// One virtual GPU: its global memory plus the scheduler state.
 pub struct Device {
     config: DeviceConfig,
@@ -213,35 +269,30 @@ impl Device {
     /// configuration is infeasible — the health region reports the
     /// device as dead so the host watchdog can take over its work.
     ///
-    /// The storage arm is picked once per run by measured coupler
-    /// density ([`MatrixStorage::select`], pinnable via
-    /// `ABS_FORCE_DENSE` / `ABS_FORCE_SPARSE`): sparse instances are
-    /// converted to CSR and every block runs the O(degree) flip tier.
-    /// On the dense arm the Δ accumulator width is then picked: blocks
-    /// use narrow `i32` accumulators whenever the problem's Δ bound
-    /// fits (always true for i16 weights at the supported sizes),
-    /// falling back to `i64` otherwise, and the flip kernel is detected
-    /// once per run ([`FlipKernel::detect`]) and shared by every block.
-    /// Both choices are published in global memory
+    /// The storage arm arrives already picked ([`DeviceMatrix::from_problem`]
+    /// runs once per machine): on the sparse arm every block runs the
+    /// O(degree) flip tier over the shared CSR matrix. On the dense arm
+    /// the Δ accumulator width is then picked: blocks use narrow `i32`
+    /// accumulators whenever the problem's Δ bound fits (always true
+    /// for i16 weights at the supported sizes), falling back to `i64`
+    /// otherwise, and the flip kernel is detected once per run
+    /// ([`FlipKernel::detect`]) and shared by every block. Both choices
+    /// are published in global memory
     /// ([`GlobalMem::matrix_storage_name`],
     /// [`GlobalMem::flip_kernel_name`]) for host telemetry. The flip
     /// trajectories are identical for every storage/width/kernel
     /// combination.
-    pub fn run(&self, qubo: &Qubo) {
-        match MatrixStorage::select(qubo) {
-            MatrixStorage::Sparse => {
-                let sq = SparseQubo::from_dense(qubo);
-                self.mem.set_matrix_storage(MatrixStorage::Sparse);
+    pub fn run(&self, matrix: &DeviceMatrix) {
+        self.mem.set_matrix_storage(matrix.storage());
+        match matrix {
+            DeviceMatrix::Sparse(sq) => {
                 // The CSR arm is scalar i64-only (its hot loop is an
                 // irregular gather, not a lane-parallel row stream):
                 // record the truth in the kernel slot too.
                 self.mem.set_flip_kernel(FlipKernel::Scalar);
-                self.run_blocks(qubo.n(), FlipKernel::Scalar, |c| {
-                    BlockRunner::sparse(&sq, c)
-                });
+                self.run_blocks(sq.n(), FlipKernel::Scalar, |c| BlockRunner::sparse(sq, c));
             }
-            MatrixStorage::Dense => {
-                self.mem.set_matrix_storage(MatrixStorage::Dense);
+            DeviceMatrix::Dense(qubo) => {
                 if DeltaTracker::<i32>::fits(qubo) {
                     let kernel = FlipKernel::detect();
                     self.mem.set_flip_kernel(kernel);
@@ -426,6 +477,10 @@ mod tests {
         Qubo::random(n, &mut rng)
     }
 
+    fn matrix(q: &Qubo) -> DeviceMatrix {
+        DeviceMatrix::from_problem(&Arc::new(q.clone()))
+    }
+
     fn small_config(blocks: usize, workers: usize) -> DeviceConfig {
         DeviceConfig {
             blocks_override: Some(blocks),
@@ -473,7 +528,7 @@ mod tests {
         let d = Device::new(small_config(4, 2));
         let mem = Arc::clone(d.mem());
         std::thread::scope(|s| {
-            s.spawn(|| d.run(&q));
+            s.spawn(|| d.run(&matrix(&q)));
             // Host: feed some targets, wait for results, stop.
             let mut rng = StdRng::seed_from_u64(2);
             for _ in 0..8 {
@@ -516,7 +571,7 @@ mod tests {
         let d = Device::new(small_config(3, 2));
         let mem = Arc::clone(d.mem());
         std::thread::scope(|s| {
-            s.spawn(|| d.run(&q));
+            s.spawn(|| d.run(&matrix(&q)));
             let mut rng = StdRng::seed_from_u64(21);
             for _ in 0..6 {
                 mem.push_target(BitVec::random(n, &mut rng));
@@ -544,7 +599,7 @@ mod tests {
         let d = Device::new(small_config(2, 1));
         let mem = Arc::clone(d.mem());
         std::thread::scope(|s| {
-            s.spawn(|| d.run(&q));
+            s.spawn(|| d.run(&matrix(&q)));
             while mem.counter() < 2 {
                 std::thread::yield_now();
             }
@@ -559,7 +614,7 @@ mod tests {
         let d = Device::new(small_config(6, 2));
         let mem = Arc::clone(d.mem());
         std::thread::scope(|s| {
-            s.spawn(|| d.run(&q));
+            s.spawn(|| d.run(&matrix(&q)));
             // 2 rounds of 6 blocks each → ≥ 12 iterations before stop.
             while mem.total_iterations() < 12 {
                 std::thread::yield_now();
@@ -574,7 +629,7 @@ mod tests {
         let q = random_qubo(16, 4);
         let d = Device::new(small_config(4, 1));
         d.mem().request_stop();
-        d.run(&q); // must return promptly
+        d.run(&matrix(&q)); // must return promptly
         assert_eq!(d.mem().total_iterations(), 0);
         use crate::health::HealthStatus;
         assert_eq!(d.mem().health().status(), HealthStatus::Healthy);
@@ -588,9 +643,15 @@ mod tests {
         let d = Device::new(cfg);
         let mem = Arc::clone(d.mem());
         std::thread::scope(|s| {
-            s.spawn(|| d.run(&q));
-            // Long past the injected death, results keep flowing.
-            while mem.counter() < 40 {
+            s.spawn(|| d.run(&matrix(&q)));
+            // Wait for the injected death itself (the other worker can
+            // produce any number of results before block 1 first runs),
+            // then for results to keep flowing long past it.
+            while mem.health().dead_blocks() == 0 {
+                std::thread::yield_now();
+            }
+            let after_death = mem.counter() + 40;
+            while mem.counter() < after_death {
                 std::thread::yield_now();
             }
             mem.request_stop();
@@ -624,7 +685,7 @@ mod tests {
         ));
         let d = Device::new(cfg);
         // No host stop: the run must terminate on its own.
-        d.run(&q);
+        d.run(&matrix(&q));
         use crate::health::HealthStatus;
         assert_eq!(d.mem().health().status(), HealthStatus::Dead);
         assert_eq!(d.mem().health().dead_blocks(), 2);
@@ -639,7 +700,7 @@ mod tests {
         let d = Device::new(cfg);
         let mem = Arc::clone(d.mem());
         std::thread::scope(|s| {
-            s.spawn(|| d.run(&q));
+            s.spawn(|| d.run(&matrix(&q)));
             while mem.total_iterations() < 5 {
                 std::thread::yield_now();
             }
@@ -664,7 +725,7 @@ mod tests {
         let d = Device::new(cfg);
         let mem = Arc::clone(d.mem());
         std::thread::scope(|s| {
-            s.spawn(|| d.run(&q));
+            s.spawn(|| d.run(&matrix(&q)));
             while mem.total_iterations() < 8 {
                 std::thread::yield_now();
             }

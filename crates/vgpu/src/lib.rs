@@ -32,9 +32,10 @@
 //! # Example
 //!
 //! ```
-//! use vgpu::{occupancy, DeviceSpec, Machine, MachineConfig, DeviceConfig};
+//! use vgpu::{occupancy, DeviceSpec, DeviceMatrix, Machine, MachineConfig, DeviceConfig};
 //! use qubo::{BitVec, Qubo};
 //! use rand::{rngs::StdRng, SeedableRng};
+//! use std::sync::Arc;
 //!
 //! // Table 2, first row: n = 1024, one bit per thread.
 //! let spec = DeviceSpec::rtx_2080_ti();
@@ -45,7 +46,7 @@
 //!
 //! // Run a small machine: host pushes a target, devices search.
 //! let mut rng = StdRng::seed_from_u64(3);
-//! let q = Qubo::random(32, &mut rng);
+//! let q = Arc::new(Qubo::random(32, &mut rng));
 //! let machine = Machine::new(&MachineConfig {
 //!     num_devices: 1,
 //!     device: DeviceConfig {
@@ -54,7 +55,7 @@
 //!         ..DeviceConfig::default()
 //!     },
 //! });
-//! let best = machine.run(&q, |mems| {
+//! let best = machine.run(&DeviceMatrix::from_problem(&q), |mems| {
 //!     mems[0].push_target(BitVec::random(32, &mut rng));
 //!     loop {
 //!         if mems[0].counter() > 0 {
@@ -82,7 +83,7 @@ pub mod timing;
 
 pub use block::{AdaptiveConfig, BlockConfig, BlockRunner, PolicyKind, WindowSchedule};
 pub use buffers::{GlobalMem, SolutionRecord, DEFAULT_BUFFER_CAPACITY, DEFAULT_EVENT_CAPACITY};
-pub use device::{Device, DeviceConfig, ResolveError};
+pub use device::{Device, DeviceConfig, DeviceMatrix, ResolveError};
 pub use fault::{Corruption, FaultKind, FaultPlan, InjectedPanic};
 pub use health::{DeviceHealth, HealthStatus};
 pub use machine::{Machine, MachineConfig, RunningMachine};

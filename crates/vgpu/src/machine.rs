@@ -2,8 +2,7 @@
 //! host (Fig. 5).
 
 use crate::buffers::GlobalMem;
-use crate::device::{Device, DeviceConfig};
-use qubo::Qubo;
+use crate::device::{Device, DeviceConfig, DeviceMatrix};
 use std::sync::Arc;
 
 /// Configuration of the whole machine.
@@ -57,7 +56,7 @@ impl Machine {
         self.devices.iter().map(|d| Arc::clone(d.mem())).collect()
     }
 
-    /// Runs all devices on `qubo` concurrently while executing `host` on
+    /// Runs all devices on `matrix` concurrently while executing `host` on
     /// the calling thread. When `host` returns, the stop flag is raised
     /// on every device and the call joins them before returning the
     /// host's result.
@@ -67,7 +66,7 @@ impl Machine {
     /// targets — and, if it wants to stop early, call
     /// [`GlobalMem::request_stop`] itself (returning has the same
     /// effect).
-    pub fn run<F, R>(&self, qubo: &Qubo, host: F) -> R
+    pub fn run<F, R>(&self, matrix: &DeviceMatrix, host: F) -> R
     where
         F: FnOnce(&[Arc<GlobalMem>]) -> R,
     {
@@ -86,7 +85,7 @@ impl Machine {
         let mems = self.mems();
         std::thread::scope(|s| {
             for d in &self.devices {
-                s.spawn(move || d.run(qubo));
+                s.spawn(move || d.run(matrix));
             }
             let _guard = StopGuard(&mems);
             host(&mems)
@@ -97,19 +96,25 @@ impl Machine {
     /// running machine. Unlike [`Machine::run`], which scopes device
     /// lifetime to a single host closure, the returned value *owns* the
     /// threads, so a resumable session can poll across many calls,
-    /// checkpoint in between, and stop whenever it chooses.
+    /// checkpoint in between, and stop whenever it chooses. Every device
+    /// shares the one `matrix` (a reference count, not a copy), which
+    /// the running machine keeps for the host ([`RunningMachine::matrix`]).
     #[must_use]
-    pub fn start(self, qubo: Arc<Qubo>) -> RunningMachine {
+    pub fn start(self, matrix: DeviceMatrix) -> RunningMachine {
         let mems = self.mems();
         let handles = self
             .devices
             .into_iter()
             .map(|d| {
-                let q = Arc::clone(&qubo);
-                std::thread::spawn(move || d.run(&q))
+                let m = matrix.clone();
+                std::thread::spawn(move || d.run(&m))
             })
             .collect();
-        RunningMachine { mems, handles }
+        RunningMachine {
+            mems,
+            matrix,
+            handles,
+        }
     }
 
     /// Total flips across all devices.
@@ -139,6 +144,7 @@ impl Machine {
 /// flag and joins the device threads.
 pub struct RunningMachine {
     mems: Vec<Arc<GlobalMem>>,
+    matrix: DeviceMatrix,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -147,6 +153,12 @@ impl RunningMachine {
     #[must_use]
     pub fn mems(&self) -> &[Arc<GlobalMem>] {
         &self.mems
+    }
+
+    /// The matrix every device searches, in its dispatched storage arm.
+    #[must_use]
+    pub fn matrix(&self) -> &DeviceMatrix {
+        &self.matrix
     }
 
     /// Raises the stop flag on every device; blocks exit at their next
@@ -177,7 +189,7 @@ impl Drop for RunningMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qubo::BitVec;
+    use qubo::{BitVec, Qubo};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -198,7 +210,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let q = Qubo::random(24, &mut rng);
         let m = test_machine(3);
-        let counts = m.run(&q, |mems| {
+        let counts = m.run(&DeviceMatrix::from_problem(&Arc::new(q)), |mems| {
             // Feed two targets to each device, wait for 2 results each.
             let mut rng = StdRng::seed_from_u64(2);
             for mem in mems {
@@ -227,7 +239,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let q = Qubo::random(24, &mut rng);
         let m = test_machine(2);
-        let mut running = m.start(Arc::new(q));
+        let mut running = m.start(DeviceMatrix::from_problem(&Arc::new(q)));
         let mut rng = StdRng::seed_from_u64(22);
         for mem in running.mems() {
             mem.push_target(BitVec::random(24, &mut rng));
@@ -255,7 +267,7 @@ mod tests {
         let m = test_machine(1);
         let mems = m.mems();
         {
-            let _running = m.start(Arc::new(q));
+            let _running = m.start(DeviceMatrix::from_problem(&Arc::new(q)));
             // Dropped immediately: Drop must raise stop and join without
             // hanging, even though the device barely ran.
         }
@@ -263,11 +275,48 @@ mod tests {
     }
 
     #[test]
+    fn devices_of_a_sparse_machine_share_one_csr_matrix() {
+        // (`select` honours the env pins; skip under a forced-dense pin.)
+        if qubo::MatrixStorage::forced() == Some(qubo::MatrixStorage::Dense) {
+            return;
+        }
+        let mut q = Qubo::zero(96).unwrap();
+        q.set(0, 1, -9);
+        q.set(7, 80, 4);
+        let DeviceMatrix::Sparse(csr) = DeviceMatrix::from_problem(&Arc::new(q)) else {
+            panic!("a two-coupler instance dispatches to the CSR arm");
+        };
+        let m = test_machine(3);
+        let mut running = m.start(DeviceMatrix::Sparse(Arc::clone(&csr)));
+        let DeviceMatrix::Sparse(held) = running.matrix() else {
+            panic!("the running machine keeps the dispatched arm");
+        };
+        assert!(Arc::ptr_eq(held, &csr));
+        // This test's handle, the machine's, and one per device thread:
+        // no device converted (or copied) a matrix of its own.
+        assert_eq!(Arc::strong_count(&csr), 2 + 3);
+        let mut rng = StdRng::seed_from_u64(24);
+        for mem in running.mems() {
+            mem.push_target(BitVec::random(96, &mut rng));
+        }
+        while !running.mems().iter().all(|m| m.counter() >= 1) {
+            std::thread::yield_now();
+        }
+        running.join();
+        for mem in running.mems() {
+            assert_eq!(mem.matrix_storage_name(), "sparse");
+            assert_eq!(mem.flip_kernel_name(), "scalar");
+        }
+        // Joined device threads dropped their handles.
+        assert_eq!(Arc::strong_count(&csr), 2);
+    }
+
+    #[test]
     fn host_result_is_propagated() {
         let mut rng = StdRng::seed_from_u64(3);
         let q = Qubo::random(16, &mut rng);
         let m = test_machine(1);
-        let out = m.run(&q, |_mems| 42usize);
+        let out = m.run(&DeviceMatrix::from_problem(&Arc::new(q)), |_mems| 42usize);
         assert_eq!(out, 42);
     }
 
@@ -288,7 +337,9 @@ mod tests {
         let q = Qubo::random(16, &mut rng);
         let m = test_machine(2);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            m.run(&q, |_mems| panic!("host exploded"));
+            m.run(&DeviceMatrix::from_problem(&Arc::new(q)), |_mems| {
+                panic!("host exploded")
+            });
         }));
         assert!(result.is_err(), "panic must propagate");
         // Devices exited: their memories show the stop flag.
@@ -336,7 +387,7 @@ mod tests {
             num_devices: 1,
             device,
         });
-        let saw_dead = m.run(&q, |mems| loop {
+        let saw_dead = m.run(&DeviceMatrix::from_problem(&Arc::new(q)), |mems| loop {
             if mems[0].health().status() == HealthStatus::Dead {
                 return true;
             }

@@ -10,16 +10,16 @@
 //! minimize  −Σ μ_i x_i + γ·Σ σ_ij x_i x_j + λ·(Σ x_i − K)²
 //! ```
 //!
-//! All coefficients are scaled to integers and assembled with
-//! `QuboBuilder` — exactly how a downstream user would encode their own
-//! problem.
+//! All coefficients are scaled to integers and assembled as `(i, j, w)`
+//! triplets with `Qubo::from_triplets` — exactly how a downstream user
+//! would encode their own problem.
 //!
 //! ```sh
 //! cargo run --release -p abs-examples --example portfolio_selection
 //! ```
 
 use abs::{Abs, AbsConfig, StopCondition};
-use qubo::{Qubo, QuboBuilder};
+use qubo::Qubo;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -55,23 +55,21 @@ fn synthetic_market(seed: u64) -> Market {
 }
 
 fn encode(m: &Market) -> Qubo {
-    let mut b = QuboBuilder::new(ASSETS).expect("size ok");
+    let mut triplets = Vec::new();
     for i in 0..ASSETS {
         // −μ_i x_i  +  γ σ_ii x_i  +  λ(1 − 2K) x_i   (from (Σx − K)²)
         let diag =
             -m.mu[i] + RISK_AVERSION * m.sigma[i][i] + CARDINALITY_PENALTY * (1 - 2 * BUDGET);
-        b.add(i, i, i16::try_from(diag).expect("diag fits"))
-            .unwrap();
+        triplets.push((i, i, i16::try_from(diag).expect("diag fits")));
         for j in (i + 1)..ASSETS {
             // Off-diagonals are double-counted by the energy, so each
             // W_ij carries half the pair coefficient:
             //   γ·2σ_ij (σ appears for (i,j) and (j,i)) + 2λ  → halved.
             let pair = RISK_AVERSION * m.sigma[i][j] + CARDINALITY_PENALTY;
-            b.add(i, j, i16::try_from(pair).expect("pair fits"))
-                .unwrap();
+            triplets.push((i, j, i16::try_from(pair).expect("pair fits")));
         }
     }
-    b.build().expect("no overflow")
+    Qubo::from_triplets(ASSETS, &triplets).expect("no overflow")
 }
 
 fn main() {
@@ -106,18 +104,18 @@ fn main() {
     // Compare against the exact optimum of a truncated 22-asset market —
     // small enough for exhaustive enumeration.
     let small = {
-        let mut b = QuboBuilder::new(22).expect("size ok");
+        let mut triplets = Vec::new();
         for i in 0..22 {
             let diag = -market.mu[i]
                 + RISK_AVERSION * market.sigma[i][i]
                 + CARDINALITY_PENALTY * (1 - 2 * BUDGET);
-            b.add(i, i, i16::try_from(diag).unwrap()).unwrap();
+            triplets.push((i, i, i16::try_from(diag).unwrap()));
             for j in (i + 1)..22 {
                 let pair = RISK_AVERSION * market.sigma[i][j] + CARDINALITY_PENALTY;
-                b.add(i, j, i16::try_from(pair).unwrap()).unwrap();
+                triplets.push((i, j, i16::try_from(pair).unwrap()));
             }
         }
-        b.build().unwrap()
+        Qubo::from_triplets(22, &triplets).unwrap()
     };
     let truth = qubo_baselines::exact::solve(&small);
     let mut cfg2 = AbsConfig::small();

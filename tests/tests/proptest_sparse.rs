@@ -10,11 +10,14 @@
 //! `ABS_FORCE_SPARSE=1` (the CI weekly job does both) still exercises
 //! both trackers — only the dispatch-facing tests branch on the pin.
 
-use abs::{Abs, AbsConfig, StopCondition};
+use abs::{Abs, AbsConfig, DeviceStatus, StopCondition};
 use proptest::prelude::*;
 use qubo::{CouplingMatrix, MatrixStorage, Qubo, SparseQubo};
 use qubo_problems::{gset, maxcut};
 use qubo_search::{local_search, DeltaTracker, SparseDeltaTracker, WindowMinPolicy};
+use std::sync::Arc;
+use std::time::Duration;
+use vgpu::{Corruption, FaultPlan};
 
 /// Density sweep points in per-mille: 0.1%, 0.5%, 2%, 10%, 50%, 100%.
 const DENSITIES: [u64; 6] = [1, 5, 20, 100, 500, 1000];
@@ -215,4 +218,49 @@ fn dense_instance_records_the_dense_arm_end_to_end() {
         Some(1.0)
     );
     assert_eq!(r.evaluated, (r.total_flips + r.search_units) * 49);
+}
+
+/// The corrupted-record scenario of the fault-tolerance suite on an
+/// instance that dispatches to the CSR arm: there the host audits
+/// improvements with `SparseQubo::energy` (O(n + nnz)) on the
+/// machine's shared CSR matrix, and that audit must still reject the
+/// impossible energy claim. One device and a flip budget keep the run
+/// short and its fault accounting independent of the stall watchdog.
+#[test]
+fn csr_audit_rejects_corrupted_records() {
+    if MatrixStorage::forced() == Some(MatrixStorage::Dense) {
+        return; // pinned away from the arm under test
+    }
+    // 128 vertices, 120 unit edges: ~1.5 % density, under the 2 % cut.
+    let g = gset::generate(128, 120, gset::GsetFamily::RandomUnit, 3);
+    let q = maxcut::to_qubo(&g).expect("encodes");
+    assert_eq!(MatrixStorage::select(&q), MatrixStorage::Sparse);
+    let mut cfg = AbsConfig::small();
+    cfg.machine.device.blocks_override = Some(3);
+    // One worker cycles through every block, so both corrupting blocks
+    // reach their second iteration well inside the flip budget.
+    cfg.machine.device.workers = 1;
+    cfg.machine.device.fault = Some(Arc::new(
+        FaultPlan::new()
+            .corrupt_record(0, 1, 1, Corruption::WrongLength)
+            .corrupt_record(0, 0, 1, Corruption::WrongEnergy),
+    ));
+    cfg.watchdog.hard_timeout = Some(Duration::from_secs(60));
+    cfg.stop = StopCondition::flips(100_000);
+    let r = Abs::new(cfg)
+        .expect("valid config")
+        .solve(&q)
+        .expect("solve");
+    assert_eq!(
+        r.metrics
+            .gauge_with("abs_matrix_storage", "storage", "sparse"),
+        Some(1.0),
+        "the run must have searched on the CSR arm"
+    );
+    assert_eq!(r.best_energy, q.energy(&r.best), "best must be exact");
+    assert_eq!(-r.best_energy, maxcut::cut_value(&g, &r.best));
+    // WrongLength is rejected device-side, WrongEnergy by the CSR audit.
+    assert_eq!(r.devices[0].status, DeviceStatus::Healthy);
+    assert_eq!(r.devices[0].rejected_records, 2);
+    assert_eq!(r.rejected_records, 2);
 }

@@ -47,7 +47,7 @@ fn assert_monotone_history(r: &abs::SolveResult) {
 
 #[test]
 fn straight_and_resumed_solves_both_reach_the_brute_force_optimum() {
-    let q = qubo_problems::random::generate(14, 11);
+    let q = std::sync::Arc::new(qubo_problems::random::generate(14, 11));
     let optimum = brute_force_optimum(&q);
 
     // Arm 1: one uninterrupted session, run to the known optimum.
@@ -110,7 +110,7 @@ fn straight_and_resumed_solves_both_reach_the_brute_force_optimum() {
 fn resume_is_reproducible_from_the_same_checkpoint() {
     // Two resumes from the *same* frozen checkpoint restore identical
     // host state: same pool, same RNG streams, same incumbent.
-    let q = qubo_problems::random::generate(24, 5);
+    let q = std::sync::Arc::new(qubo_problems::random::generate(24, 5));
     let mut cfg = AbsConfig::small();
     cfg.seed = 5;
     let ckpt = temp_path("replay");

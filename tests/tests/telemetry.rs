@@ -70,7 +70,7 @@ fn snapshot_totals_equal_solve_result_fields_exactly() {
 /// run short never leaves the metrics behind the scalar result.
 #[test]
 fn snapshot_totals_equal_solve_result_fields_after_early_stop() {
-    let problem = qubo_problems::random::generate(64, 7);
+    let problem = std::sync::Arc::new(qubo_problems::random::generate(64, 7));
     let mut config = AbsConfig::small();
     config.seed = 7;
     config.stop = StopCondition::flips(u64::MAX); // never met: we stop it
