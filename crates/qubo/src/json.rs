@@ -22,8 +22,35 @@
 //! of duplicate edges). Floats — including anything JSON would round —
 //! are rejected with a typed error rather than truncated; JSON itself
 //! cannot encode NaN, so a literal `NaN` fails at the syntax layer.
+//!
+//! # Decoding
+//!
+//! [`Reader`] is a byte-level pull parser: one pass over the text both
+//! checks the JSON syntax of the whole document and streams the
+//! problem's fields into their final shape — `"upper"` into a
+//! `Vec<i16>` (2 bytes per weight) and `"edges"` into a list of raw
+//! triples — with no intermediate value tree. The rules:
+//!
+//! - **Syntax before semantics.** A semantic fault (a float weight, a
+//!   bad edge, a wrong field type) is recorded and the scan goes on; a
+//!   syntax error anywhere in the document wins over it.
+//! - **Semantic errors keep their historical order.** After the scan
+//!   the fields are checked in a fixed order — `format`, then `n`, then
+//!   the payload array, then its elements by index — whatever order the
+//!   keys appear in the text, so `"upper"` may precede `"n"`.
+//! - **The first occurrence of a duplicate key wins;** later values
+//!   are checked for syntax and otherwise ignored. Unknown keys are
+//!   ignored the same way.
+//! - **Nesting is capped at [`MAX_DEPTH`] levels** of arrays and
+//!   objects (the `serde_json` recursion limit), so a hostile body
+//!   cannot exhaust the stack.
 
 use crate::matrix::{check_size, Qubo, QuboError};
+use std::borrow::Cow;
+
+/// The deepest nesting of arrays and objects [`Reader`] accepts; one
+/// level more is a syntax error.
+pub const MAX_DEPTH: usize = 128;
 
 /// A typed rejection of a JSON problem payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -120,30 +147,422 @@ impl From<QuboError> for JsonProblemError {
     }
 }
 
-/// Reads `obj[field]` as a `usize`, rejecting floats and negatives.
-fn usize_field(obj: &serde_json::Value, field: &'static str) -> Result<usize, JsonProblemError> {
-    let v = obj
-        .get(field)
-        .ok_or(JsonProblemError::MissingField(field))?;
-    let n = v.as_u64().ok_or(JsonProblemError::BadType {
-        field,
-        expected: "a non-negative integer",
-    })?;
-    usize::try_from(n).map_err(|_| JsonProblemError::BadType {
-        field,
-        expected: "a non-negative integer",
-    })
+fn syntax(msg: impl Into<String>) -> JsonProblemError {
+    JsonProblemError::Syntax(msg.into())
 }
 
-/// Reads one array element as an `i16` weight, with typed rejections
-/// for floats (`as_i64` is `None` for any JSON float) and overflow.
-fn weight_at(
-    v: &serde_json::Value,
-    field: &'static str,
-    index: usize,
-) -> Result<i16, JsonProblemError> {
-    let w = v
-        .as_i64()
+/// A number classified the way `serde_json` stores it: integers that
+/// fit `i64`, larger non-negative integers, and everything written
+/// with a fraction or an exponent (or too long for `u64`).
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Num {
+    Int(i64),
+    UInt(u64),
+    Float,
+}
+
+impl Num {
+    fn as_u64(self) -> Option<u64> {
+        match self {
+            Num::Int(v) => u64::try_from(v).ok(),
+            Num::UInt(v) => Some(v),
+            Num::Float => None,
+        }
+    }
+
+    fn as_i64(self) -> Option<i64> {
+        match self {
+            Num::Int(v) => Some(v),
+            Num::UInt(v) => i64::try_from(v).ok(),
+            Num::Float => None,
+        }
+    }
+}
+
+/// A pull cursor over one JSON document. Every method that consumes a
+/// value checks its syntax completely, so a caller that walks (or
+/// skips) every value has validated the whole document; the only error
+/// the cursor itself returns is [`JsonProblemError::Syntax`].
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    depth: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Self {
+        Self {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Byte offset of the cursor in the text.
+    #[must_use]
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes().get(self.pos) {
+            self.pos += 1;
+        }
+    }
+
+    /// Skips whitespace and returns the next byte without consuming it.
+    pub fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.bytes().get(self.pos).copied()
+    }
+
+    fn consume(&mut self, b: u8) -> Result<(), JsonProblemError> {
+        if self.bytes().get(self.pos) == Some(&b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(syntax(format!(
+                "expected '{}' at byte {}",
+                b as char, self.pos
+            )))
+        }
+    }
+
+    /// Enters one container level, refusing past [`MAX_DEPTH`].
+    fn enter(&mut self, b: u8) -> Result<(), JsonProblemError> {
+        self.consume(b)?;
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(syntax(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        Ok(())
+    }
+
+    /// Walks the object at the cursor, calling `member(reader, key)`
+    /// once per member with the cursor on the value; `member` must
+    /// consume exactly that value.
+    ///
+    /// # Errors
+    /// A syntax error, or whatever `member` returns.
+    pub fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), JsonProblemError>,
+    ) -> Result<(), JsonProblemError> {
+        self.enter(b'{')?;
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.consume(b':')?;
+            self.skip_ws();
+            member(self, &key)?;
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                other => return Err(syntax(format!("bad object at {other:?}"))),
+            }
+        }
+    }
+
+    /// Walks the array at the cursor, calling `element(reader, index)`
+    /// once per element with the cursor on it; `element` must consume
+    /// exactly that value.
+    fn array(
+        &mut self,
+        mut element: impl FnMut(&mut Self, usize) -> Result<(), JsonProblemError>,
+    ) -> Result<(), JsonProblemError> {
+        self.enter(b'[')?;
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(());
+        }
+        let mut index = 0;
+        loop {
+            self.skip_ws();
+            element(self, index)?;
+            index += 1;
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                other => return Err(syntax(format!("bad array at {other:?}"))),
+            }
+        }
+    }
+
+    /// Consumes one value of any type, checking its syntax.
+    ///
+    /// # Errors
+    /// [`JsonProblemError::Syntax`] on malformed or too deeply nested
+    /// JSON.
+    pub fn skip_value(&mut self) -> Result<(), JsonProblemError> {
+        match self.peek() {
+            Some(b'{') => self.object(|r, _| r.skip_value()),
+            Some(b'[') => self.array(|r, _| r.skip_value()),
+            Some(b'"') => self.string().map(drop),
+            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
+            _ => {
+                let rest = &self.bytes()[self.pos..];
+                match ["null", "true", "false"]
+                    .iter()
+                    .find(|lit| rest.starts_with(lit.as_bytes()))
+                {
+                    Some(lit) => {
+                        self.pos += lit.len();
+                        Ok(())
+                    }
+                    None => Err(syntax(format!(
+                        "unexpected {:?} at byte {}",
+                        rest.first(),
+                        self.pos
+                    ))),
+                }
+            }
+        }
+    }
+
+    /// Checks that only whitespace remains.
+    ///
+    /// # Errors
+    /// [`JsonProblemError::Syntax`] on trailing data.
+    pub fn end(&mut self) -> Result<(), JsonProblemError> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(syntax(format!("trailing data at byte {}", self.pos))),
+        }
+    }
+
+    /// Consumes a string, borrowing it from the text unless it holds
+    /// escapes. Lone surrogate escapes decode to U+FFFD.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonProblemError> {
+        self.consume(b'"')?;
+        let bytes = self.bytes();
+        let mut out: Option<String> = None;
+        loop {
+            let start = self.pos;
+            while let Some(&b) = bytes.get(self.pos) {
+                if b == b'"' || b == b'\\' || b < 0x20 {
+                    break;
+                }
+                self.pos += 1;
+            }
+            // The run stops at ASCII bytes, so it is a char-boundary
+            // slice of the (UTF-8) text.
+            let run = &self.text[start..self.pos];
+            match bytes.get(self.pos) {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(match out {
+                        None => Cow::Borrowed(run),
+                        Some(mut s) => {
+                            s.push_str(run);
+                            Cow::Owned(s)
+                        }
+                    });
+                }
+                Some(b'\\') => {
+                    let s = out.get_or_insert_with(String::new);
+                    s.push_str(run);
+                    let esc = *bytes
+                        .get(self.pos + 1)
+                        .ok_or_else(|| syntax("unterminated escape"))?;
+                    self.pos += 2;
+                    s.push(match esc {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        b'b' => '\u{08}',
+                        b'f' => '\u{0C}',
+                        b'u' => {
+                            let hex = bytes
+                                .get(self.pos..self.pos + 4)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| syntax("bad \\u escape"))?;
+                            self.pos += 4;
+                            char::from_u32(hex).unwrap_or('\u{FFFD}')
+                        }
+                        other => return Err(syntax(format!("bad escape '\\{}'", other as char))),
+                    });
+                }
+                other => return Err(syntax(format!("unterminated string ({other:?})"))),
+            }
+        }
+    }
+
+    /// Consumes a number, scanned as `-? digits* (. digits*)? ([eE]
+    /// [+-]? digits*)?` and classified by the standard parsers, exactly
+    /// as `serde_json::from_str` does.
+    fn number(&mut self) -> Result<Num, JsonProblemError> {
+        let bytes = self.bytes();
+        let start = self.pos;
+        let mut p = start + usize::from(bytes.get(start) == Some(&b'-'));
+        let run = |p: &mut usize| {
+            while let Some(b'0'..=b'9') = bytes.get(*p) {
+                *p += 1;
+            }
+        };
+        run(&mut p);
+        let mut is_float = false;
+        if bytes.get(p) == Some(&b'.') {
+            is_float = true;
+            p += 1;
+            run(&mut p);
+        }
+        if let Some(b'e' | b'E') = bytes.get(p) {
+            is_float = true;
+            p += 1;
+            if let Some(b'+' | b'-') = bytes.get(p) {
+                p += 1;
+            }
+            run(&mut p);
+        }
+        self.pos = p;
+        let text = &self.text[start..p];
+        if !is_float {
+            if let Ok(v) = text.parse::<i64>() {
+                return Ok(Num::Int(v));
+            }
+            if let Ok(v) = text.parse::<u64>() {
+                return Ok(Num::UInt(v));
+            }
+        }
+        text.parse::<f64>()
+            .map(|_| Num::Float)
+            .map_err(|_| syntax(format!("bad number '{text}'")))
+    }
+
+    /// Consumes a plain integer of at most five digits that fits `i16`
+    /// — every element of a well-formed weight array — or leaves the
+    /// cursor alone and returns `None`.
+    fn short_weight(&mut self) -> Option<i16> {
+        let bytes = self.bytes();
+        let neg = bytes.get(self.pos) == Some(&b'-');
+        let digits = self.pos + usize::from(neg);
+        let mut p = digits;
+        let mut mag = 0i32;
+        while p < digits + 5 {
+            match bytes.get(p) {
+                Some(&d @ b'0'..=b'9') => mag = mag * 10 + i32::from(d - b'0'),
+                _ => break,
+            }
+            p += 1;
+        }
+        if p == digits || matches!(bytes.get(p), Some(b'0'..=b'9' | b'.' | b'e' | b'E')) {
+            return None;
+        }
+        let w = i16::try_from(if neg { -mag } else { mag }).ok()?;
+        self.pos = p;
+        Some(w)
+    }
+
+    /// Consumes a number, or skips a value of any other type (`None`).
+    fn number_or_skip(&mut self) -> Result<Option<Num>, JsonProblemError> {
+        if let Some(b'-' | b'0'..=b'9') = self.peek() {
+            self.number().map(Some)
+        } else {
+            self.skip_value().map(|()| None)
+        }
+    }
+}
+
+/// One top-level field of a problem object as the scan found it.
+#[derive(Debug, Default)]
+enum Field<T> {
+    /// Absent.
+    #[default]
+    Missing,
+    /// Present with the wrong JSON type.
+    BadType,
+    /// Present and decoded.
+    Got(T),
+}
+
+impl<T> Field<T> {
+    fn is_missing(&self) -> bool {
+        matches!(self, Field::Missing)
+    }
+
+    fn get(self, field: &'static str, expected: &'static str) -> Result<T, JsonProblemError> {
+        match self {
+            Field::Missing => Err(JsonProblemError::MissingField(field)),
+            Field::BadType => Err(JsonProblemError::BadType { field, expected }),
+            Field::Got(v) => Ok(v),
+        }
+    }
+}
+
+/// The `"upper"` array, streamed: one `i16` per element (0 standing in
+/// for a rejected one) and the first element error by index.
+#[derive(Debug)]
+struct Upper {
+    weights: Vec<i16>,
+    first_bad: Option<JsonProblemError>,
+}
+
+/// Why the first malformed edge is malformed, in the raw terms the
+/// range checks (which need `n`) are applied to afterwards.
+#[derive(Debug)]
+enum EdgeFault {
+    NotArray,
+    Arity,
+    Triple {
+        u: Option<u64>,
+        v: Option<u64>,
+        w: Result<i16, JsonProblemError>,
+    },
+}
+
+/// The `"edges"` array, streamed: every edge before the first one with
+/// an `n`-independent fault, as raw 1-indexed `(u, v, w)` with `u ≠ v`
+/// and `−w` in range, then that fault (later edges cannot matter).
+#[derive(Debug)]
+struct Edges {
+    raw: Vec<(u64, u64, i16)>,
+    fault: Option<(usize, EdgeFault)>,
+}
+
+/// A problem object scanned by [`read_problem`]: syntax already
+/// checked, semantic checks deferred to [`ProblemDraft::build`].
+#[derive(Debug, Default)]
+pub struct ProblemDraft {
+    object: bool,
+    format: Field<String>,
+    n: Field<usize>,
+    upper: Field<Upper>,
+    edges: Field<Edges>,
+}
+
+/// Reads an `i16` weight, with typed rejections for non-integers
+/// (including floats) and overflow.
+fn weight(num: Option<Num>, field: &'static str, index: usize) -> Result<i16, JsonProblemError> {
+    let w = num
+        .and_then(Num::as_i64)
         .ok_or(JsonProblemError::NotInteger { field, index })?;
     i16::try_from(w).map_err(|_| JsonProblemError::Overflow {
         field,
@@ -152,136 +571,255 @@ fn weight_at(
     })
 }
 
-/// Parses a JSON problem payload into a dense [`Qubo`].
+/// Scans one problem value at the cursor (any JSON value; a non-object
+/// is reported by [`ProblemDraft::build`]).
+///
+/// # Errors
+/// Only [`JsonProblemError::Syntax`].
+pub fn read_problem(r: &mut Reader<'_>) -> Result<ProblemDraft, JsonProblemError> {
+    let mut d = ProblemDraft::default();
+    if r.peek() != Some(b'{') {
+        r.skip_value()?;
+        return Ok(d);
+    }
+    d.object = true;
+    r.object(|r, key| {
+        match key {
+            "format" if d.format.is_missing() => {
+                d.format = field(r, b'"', |r| Ok(r.string()?.into_owned()))?;
+            }
+            "n" if d.n.is_missing() => {
+                d.n = match r.number_or_skip()?.and_then(Num::as_u64) {
+                    Some(n) => usize::try_from(n).map_or(Field::BadType, Field::Got),
+                    None => Field::BadType,
+                };
+            }
+            "upper" if d.upper.is_missing() => {
+                // Presize from a declared n, but never past what the
+                // remaining text could hold (≥ 2 bytes per weight).
+                let cap = match d.n {
+                    Field::Got(n) => (n.saturating_mul(n.saturating_add(1)) / 2)
+                        .min((r.text.len() - r.pos) / 2 + 1),
+                    _ => 0,
+                };
+                d.upper = field(r, b'[', |r| read_upper(r, cap))?;
+            }
+            "edges" if d.edges.is_missing() => d.edges = field(r, b'[', read_edges)?,
+            _ => r.skip_value()?,
+        }
+        Ok(())
+    })?;
+    Ok(d)
+}
+
+/// Decodes the value at the cursor with `decode` when it starts with
+/// `first` (its JSON type), and skips it as [`Field::BadType`] when not.
+fn field<'a, T>(
+    r: &mut Reader<'a>,
+    first: u8,
+    decode: impl FnOnce(&mut Reader<'a>) -> Result<T, JsonProblemError>,
+) -> Result<Field<T>, JsonProblemError> {
+    if r.peek() == Some(first) {
+        decode(r).map(Field::Got)
+    } else {
+        r.skip_value().map(|()| Field::BadType)
+    }
+}
+
+fn read_upper(r: &mut Reader<'_>, cap: usize) -> Result<Upper, JsonProblemError> {
+    let mut up = Upper {
+        weights: Vec::with_capacity(cap),
+        first_bad: None,
+    };
+    r.array(|r, index| {
+        let w = match r.short_weight() {
+            Some(w) => w,
+            None => weight(r.number_or_skip()?, "upper", index).unwrap_or_else(|e| {
+                up.first_bad.get_or_insert(e);
+                0
+            }),
+        };
+        up.weights.push(w);
+        Ok(())
+    })?;
+    Ok(up)
+}
+
+fn read_edges(r: &mut Reader<'_>) -> Result<Edges, JsonProblemError> {
+    let mut edges = Edges {
+        raw: Vec::new(),
+        fault: None,
+    };
+    r.array(|r, index| {
+        if edges.fault.is_some() {
+            return r.skip_value();
+        }
+        if r.peek() != Some(b'[') {
+            r.skip_value()?;
+            edges.fault = Some((index, EdgeFault::NotArray));
+            return Ok(());
+        }
+        let (mut u, mut v, mut w, mut arity) = (None, None, None, 0);
+        r.array(|r, k| {
+            arity = k + 1;
+            match k {
+                0 => u = r.number_or_skip()?.and_then(Num::as_u64),
+                1 => v = r.number_or_skip()?.and_then(Num::as_u64),
+                2 => w = Some(weight(r.number_or_skip()?, "edges", index)),
+                _ => r.skip_value()?,
+            }
+            Ok(())
+        })?;
+        match (arity, u, v, w) {
+            (3, Some(u), Some(v), Some(Ok(w))) if u != v && w != i16::MIN => {
+                edges.raw.push((u, v, w));
+            }
+            (3, u, v, Some(w)) => edges.fault = Some((index, EdgeFault::Triple { u, v, w })),
+            _ => edges.fault = Some((index, EdgeFault::Arity)),
+        }
+        Ok(())
+    })?;
+    Ok(edges)
+}
+
+/// Validates one edge against `n` in the historical check order (`u`,
+/// then `v`, then self-loop, then the weight and its negation) and
+/// returns its 0-indexed endpoints and weight.
+fn check_edge(
+    n: usize,
+    index: usize,
+    u: Option<u64>,
+    v: Option<u64>,
+    w: Result<i16, JsonProblemError>,
+) -> Result<(usize, usize, i16), JsonProblemError> {
+    let vertex = |id: Option<u64>, why: &'static str| {
+        let id = id
+            .and_then(|id| usize::try_from(id).ok())
+            .ok_or(JsonProblemError::BadEdge { index, why })?;
+        if id == 0 || id > n {
+            return Err(JsonProblemError::BadEdge {
+                index,
+                why: "vertex id out of range (ids are 1-indexed)",
+            });
+        }
+        Ok(id - 1)
+    };
+    let u = vertex(u, "u is not a positive integer")?;
+    let v = vertex(v, "v is not a positive integer")?;
+    if u == v {
+        return Err(JsonProblemError::BadEdge {
+            index,
+            why: "self-loop",
+        });
+    }
+    let w = w?;
+    // `−w` must also fit the weight range (`−(−32768)` does not).
+    if w == i16::MIN {
+        return Err(JsonProblemError::Overflow {
+            field: "edges",
+            index,
+            value: i64::from(w),
+        });
+    }
+    Ok((u, v, w))
+}
+
+impl ProblemDraft {
+    /// Runs the semantic checks in their fixed order and builds the
+    /// matrix.
+    ///
+    /// # Errors
+    /// Any [`JsonProblemError`] but `Syntax`.
+    pub fn build(self) -> Result<Qubo, JsonProblemError> {
+        if !self.object {
+            return Err(JsonProblemError::NotObject);
+        }
+        let format = self.format.get("format", "a string")?;
+        let n = || self.n.get("n", "a non-negative integer");
+        match format.as_str() {
+            "dense" => {
+                let n = n()?;
+                let upper = self.upper.get("upper", "an array of integers")?;
+                build_dense(n, upper)
+            }
+            "edge-list" => {
+                let n = n()?;
+                let edges = self.edges.get("edges", "an array of [u, v, w] triples")?;
+                build_edge_list(n, edges)
+            }
+            _ => Err(JsonProblemError::UnknownFormat(format)),
+        }
+    }
+}
+
+/// The `"dense"` encoding: `n` plus the row-major upper triangle
+/// (diagonal included).
+fn build_dense(n: usize, upper: Upper) -> Result<Qubo, JsonProblemError> {
+    let expected = n
+        .checked_add(1)
+        .and_then(|m| n.checked_mul(m))
+        .map(|x| x / 2)
+        .ok_or(JsonProblemError::Problem(QuboError::BadSize(n)))?;
+    if upper.weights.len() != expected {
+        return Err(JsonProblemError::SizeMismatch {
+            expected,
+            got: upper.weights.len(),
+        });
+    }
+    check_size(n)?;
+    if let Some(e) = upper.first_bad {
+        return Err(e);
+    }
+    Ok(Qubo::from_upper(n, &upper.weights)?)
+}
+
+/// The `"edge-list"` encoding with the Max-Cut QUBO mapping of
+/// [`crate::format::parse_edge_list`]: duplicate edges fold by
+/// accumulation, and the accumulated cell must still fit `i16`. The
+/// edges fold in O(nnz) memory ([`Qubo::from_triplets`]); only the
+/// final dense matrix is O(n²).
+fn build_edge_list(n: usize, edges: Edges) -> Result<Qubo, JsonProblemError> {
+    check_size(n)?;
+    let mut triplets = Vec::with_capacity(edges.raw.len().saturating_mul(3));
+    for (index, &(u, v, w)) in edges.raw.iter().enumerate() {
+        let (u, v, w) = check_edge(n, index, Some(u), Some(v), Ok(w))?;
+        triplets.extend([(u, v, w), (u, u, -w), (v, v, -w)]);
+    }
+    if let Some((index, fault)) = edges.fault {
+        return Err(match fault {
+            EdgeFault::NotArray => JsonProblemError::BadEdge {
+                index,
+                why: "not an array",
+            },
+            EdgeFault::Arity => JsonProblemError::BadEdge {
+                index,
+                why: "expected exactly [u, v, w]",
+            },
+            EdgeFault::Triple { u, v, w } => match check_edge(n, index, u, v, w) {
+                Err(e) => e,
+                // invariant: a triple is a fault only when one of the
+                // checks above rejects it whatever n is.
+                Ok(_) => JsonProblemError::BadEdge {
+                    index,
+                    why: "expected exactly [u, v, w]",
+                },
+            },
+        });
+    }
+    Ok(Qubo::from_triplets(n, &triplets)?)
+}
+
+/// Parses a JSON problem payload into a dense [`Qubo`] in one pass.
 ///
 /// # Errors
 /// [`JsonProblemError`] on malformed JSON, an unknown `"format"`,
 /// non-integer or out-of-range weights, a mismatched upper-triangle
 /// length, or malformed edges.
 pub fn parse_problem(text: &str) -> Result<Qubo, JsonProblemError> {
-    let value = serde_json::from_str(text).map_err(|e| JsonProblemError::Syntax(e.to_string()))?;
-    parse_problem_value(&value)
-}
-
-/// Parses an already-decoded JSON value (the server reuses the job
-/// payload's `"problem"` sub-object without re-serializing it).
-///
-/// # Errors
-/// See [`parse_problem`].
-pub fn parse_problem_value(value: &serde_json::Value) -> Result<Qubo, JsonProblemError> {
-    if value.as_object().is_none() {
-        return Err(JsonProblemError::NotObject);
-    }
-    let format = value
-        .get("format")
-        .ok_or(JsonProblemError::MissingField("format"))?
-        .as_str()
-        .ok_or(JsonProblemError::BadType {
-            field: "format",
-            expected: "a string",
-        })?;
-    match format {
-        "dense" => parse_dense(value),
-        "edge-list" => parse_edge_list(value),
-        other => Err(JsonProblemError::UnknownFormat(other.to_string())),
-    }
-}
-
-/// Decodes the `"dense"` encoding: `n` plus the row-major upper
-/// triangle (diagonal included).
-fn parse_dense(value: &serde_json::Value) -> Result<Qubo, JsonProblemError> {
-    let n = usize_field(value, "n")?;
-    let upper = value
-        .get("upper")
-        .ok_or(JsonProblemError::MissingField("upper"))?
-        .as_array()
-        .ok_or(JsonProblemError::BadType {
-            field: "upper",
-            expected: "an array of integers",
-        })?;
-    let expected = n
-        .checked_mul(n + 1)
-        .map(|x| x / 2)
-        .ok_or(JsonProblemError::Problem(QuboError::BadSize(n)))?;
-    if upper.len() != expected {
-        return Err(JsonProblemError::SizeMismatch {
-            expected,
-            got: upper.len(),
-        });
-    }
-    let mut q = Qubo::zero(n)?;
-    let mut k = 0usize;
-    for i in 0..n {
-        for j in i..n {
-            let w = weight_at(&upper[k], "upper", k)?;
-            if w != 0 {
-                q.set(i, j, w);
-            }
-            k += 1;
-        }
-    }
-    Ok(q)
-}
-
-/// Decodes the `"edge-list"` encoding with the Max-Cut QUBO mapping of
-/// [`crate::format::parse_edge_list`]: duplicate edges fold by
-/// accumulation, and the accumulated cell must still fit `i16`. The
-/// edges fold in O(nnz) memory ([`Qubo::from_triplets`]); only the
-/// final dense matrix is O(n²).
-fn parse_edge_list(value: &serde_json::Value) -> Result<Qubo, JsonProblemError> {
-    let n = usize_field(value, "n")?;
-    let edges = value
-        .get("edges")
-        .ok_or(JsonProblemError::MissingField("edges"))?
-        .as_array()
-        .ok_or(JsonProblemError::BadType {
-            field: "edges",
-            expected: "an array of [u, v, w] triples",
-        })?;
-    check_size(n)?;
-    let mut triplets = Vec::with_capacity(edges.len().saturating_mul(3));
-    for (index, e) in edges.iter().enumerate() {
-        let triple = e.as_array().ok_or(JsonProblemError::BadEdge {
-            index,
-            why: "not an array",
-        })?;
-        if triple.len() != 3 {
-            return Err(JsonProblemError::BadEdge {
-                index,
-                why: "expected exactly [u, v, w]",
-            });
-        }
-        let vertex = |k: usize, why: &'static str| -> Result<usize, JsonProblemError> {
-            let id = triple[k]
-                .as_u64()
-                .ok_or(JsonProblemError::BadEdge { index, why })?;
-            let id = usize::try_from(id).map_err(|_| JsonProblemError::BadEdge { index, why })?;
-            if id == 0 || id > n {
-                return Err(JsonProblemError::BadEdge {
-                    index,
-                    why: "vertex id out of range (ids are 1-indexed)",
-                });
-            }
-            Ok(id)
-        };
-        let u = vertex(0, "u is not a positive integer")?;
-        let v = vertex(1, "v is not a positive integer")?;
-        if u == v {
-            return Err(JsonProblemError::BadEdge {
-                index,
-                why: "self-loop",
-            });
-        }
-        let w = weight_at(&triple[2], "edges", index)?;
-        // `−w` must also fit the weight range (`−(−32768)` does not).
-        let neg = w.checked_neg().ok_or(JsonProblemError::Overflow {
-            field: "edges",
-            index,
-            value: i64::from(w),
-        })?;
-        triplets.extend([(u - 1, v - 1, w), (u - 1, u - 1, neg), (v - 1, v - 1, neg)]);
-    }
-    Ok(Qubo::from_triplets(n, &triplets)?)
+    let mut r = Reader::new(text);
+    let draft = read_problem(&mut r)?;
+    r.end()?;
+    draft.build()
 }
 
 #[cfg(test)]
@@ -431,6 +969,133 @@ mod tests {
         assert!(matches!(
             parse_problem(json).unwrap_err(),
             JsonProblemError::Problem(QuboError::WeightOverflow(_, _))
+        ));
+    }
+
+    #[test]
+    fn keys_may_come_in_any_order() {
+        let q = parse_problem(r#"{"upper": [1, 2, 3], "n": 2, "format": "dense"}"#).unwrap();
+        assert_eq!((q.get(0, 0), q.get(1, 0), q.get(1, 1)), (1, 2, 3));
+        let q = parse_problem(r#"{"edges": [[1, 2, 4]], "format": "edge-list", "n": 2}"#).unwrap();
+        assert_eq!((q.get(0, 1), q.diag(0)), (4, -4));
+        // The semantic check order ignores text order: a bad weight ahead
+        // of a missing "format" still reports the missing field.
+        assert_eq!(
+            parse_problem(r#"{"upper": [1.5], "n": 1}"#).unwrap_err(),
+            JsonProblemError::MissingField("format")
+        );
+    }
+
+    #[test]
+    fn the_first_occurrence_of_a_duplicate_key_wins() {
+        let q = parse_problem(
+            r#"{"format": "dense", "n": 1, "n": 2, "upper": [7], "upper": [1, 2, 3]}"#,
+        )
+        .unwrap();
+        assert_eq!((q.n(), q.get(0, 0)), (1, 7));
+        // Later duplicates are ignored even when they would be refused.
+        let q =
+            parse_problem(r#"{"format": "dense", "format": 5, "n": 1, "upper": [-1]}"#).unwrap();
+        assert_eq!(q.get(0, 0), -1);
+        assert_eq!(
+            parse_problem(r#"{"format": "dense", "n": -1, "n": 1, "upper": [1]}"#).unwrap_err(),
+            JsonProblemError::BadType {
+                field: "n",
+                expected: "a non-negative integer"
+            }
+        );
+    }
+
+    #[test]
+    fn syntax_errors_win_over_semantic_ones() {
+        // The float at upper[0] is seen first, but the document is not
+        // JSON, and that is what gets reported.
+        assert!(matches!(
+            parse_problem(r#"{"format": "dense", "n": 1, "upper": [1.5], "x": tru}"#).unwrap_err(),
+            JsonProblemError::Syntax(_)
+        ));
+        assert!(matches!(
+            parse_problem(r#"{"format": "csv"} trailing"#).unwrap_err(),
+            JsonProblemError::Syntax(_)
+        ));
+        assert!(matches!(
+            parse_problem(r#"[1, 2"#).unwrap_err(),
+            JsonProblemError::Syntax(_)
+        ));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| {
+            format!(
+                r#"{{"format": "dense", "n": 1, "upper": [1], "x": {}{}}}"#,
+                "[".repeat(depth),
+                "]".repeat(depth)
+            )
+        };
+        // The problem object itself is one level.
+        assert!(parse_problem(&nested(MAX_DEPTH - 1)).is_ok());
+        assert!(matches!(
+            parse_problem(&nested(MAX_DEPTH)).unwrap_err(),
+            JsonProblemError::Syntax(_)
+        ));
+        // Far past the cap, an unclosed run is refused without recursing.
+        let hostile = format!(r#"{{"x": {}"#, "[".repeat(100_000));
+        assert!(matches!(
+            parse_problem(&hostile).unwrap_err(),
+            JsonProblemError::Syntax(_)
+        ));
+    }
+
+    #[test]
+    fn non_numbers_and_huge_numbers_are_not_integers() {
+        for (element, index) in [(r#""7""#, 1), ("null", 1), ("[1]", 1), ("1E1", 1)] {
+            let doc = format!(r#"{{"format": "dense", "n": 2, "upper": [1, {element}, 3]}}"#);
+            assert_eq!(
+                parse_problem(&doc).unwrap_err(),
+                JsonProblemError::NotInteger {
+                    field: "upper",
+                    index
+                },
+                "{element}"
+            );
+        }
+        // Past u64 the digits parse as a float; past i64 (but within
+        // u64) they are still not an i64.
+        for big in ["99999999999999999999", "9223372036854775808"] {
+            let doc = format!(r#"{{"format": "dense", "n": 1, "upper": [{big}]}}"#);
+            assert!(matches!(
+                parse_problem(&doc).unwrap_err(),
+                JsonProblemError::NotInteger { index: 0, .. }
+            ));
+        }
+        let doc = r#"{"format": "dense", "n": 1, "upper": [-9223372036854775808]}"#;
+        assert_eq!(
+            parse_problem(doc).unwrap_err(),
+            JsonProblemError::Overflow {
+                field: "upper",
+                index: 0,
+                value: i64::MIN
+            }
+        );
+    }
+
+    #[test]
+    fn the_largest_n_is_a_bad_size_not_an_overflow() {
+        let doc = r#"{"format": "dense", "n": 18446744073709551615, "upper": [1]}"#;
+        assert_eq!(
+            parse_problem(doc).unwrap_err(),
+            JsonProblemError::Problem(QuboError::BadSize(usize::MAX))
+        );
+    }
+
+    #[test]
+    fn escaped_keys_and_strings_decode() {
+        let q = parse_problem(r#"{"\u0066ormat": "den\u0073e", "n": 1, "upper": [2]}"#).unwrap();
+        assert_eq!(q.get(0, 0), 2);
+        assert!(matches!(
+            parse_problem(r#"{"format": "dense\q"}"#).unwrap_err(),
+            JsonProblemError::Syntax(_)
         ));
     }
 }

@@ -54,6 +54,11 @@ pub const ROW_LANE: usize = 32;
 /// multiple, of every row).
 pub const ROW_ALIGN_BYTES: usize = ROW_LANE * 2;
 
+/// Side of the square tiles [`Qubo::from_upper`] mirrors the lower
+/// triangle in: a 64 × 64 tile of `i16` reads 64 row segments of two
+/// cache lines each and writes as many, well inside L1.
+const MIRROR_TILE: usize = 64;
+
 /// Checks a problem size against the supported range `1..=MAX_BITS`.
 pub(crate) fn check_size(n: usize) -> Result<(), QuboError> {
     if n == 0 || n > MAX_BITS {
@@ -216,23 +221,68 @@ impl Qubo {
         SparseQubo::from_triplets(n, triplets).map(|s| Self::from_sparse(&s))
     }
 
+    /// Builds an instance from the row-major upper triangle of `W`
+    /// (diagonal included, `n·(n+1)/2` weights): each row's upper part
+    /// is copied in whole, then the lower triangle is mirrored in
+    /// 64 × 64 tiles so both the reads and the strided writes stay
+    /// cache-resident.
+    ///
+    /// # Errors
+    /// [`QuboError::BadSize`] for an out-of-range `n`,
+    /// [`QuboError::BadShape`] if `upper.len() != n·(n+1)/2`.
+    pub fn from_upper(n: usize, upper: &[i16]) -> Result<Self, QuboError> {
+        check_size(n)?;
+        let expected = n * (n + 1) / 2;
+        if upper.len() != expected {
+            return Err(QuboError::BadShape {
+                got: upper.len(),
+                expected,
+            });
+        }
+        let mut rest = upper;
+        Ok(Self::fill_upper(n, |row| {
+            let (head, tail) = rest.split_at(row.len());
+            row.copy_from_slice(head);
+            rest = tail;
+        }))
+    }
+
+    /// Allocates an `n`-bit instance (`n` already checked), lets `fill`
+    /// write each row's upper part `W_i,i..n` in row order, and
+    /// mirrors the lower triangle from it.
+    fn fill_upper(n: usize, mut fill: impl FnMut(&mut [i16])) -> Self {
+        let (stride, off, w) = padded_alloc(n);
+        let mut q = Self { n, stride, off, w };
+        for i in 0..n {
+            let (a, b) = (q.idx(i, i), q.idx(i, n));
+            fill(&mut q.w[a..b]);
+        }
+        for ti in (0..n).step_by(MIRROR_TILE) {
+            for tj in (ti..n).step_by(MIRROR_TILE) {
+                for i in ti..(ti + MIRROR_TILE).min(n) {
+                    for j in tj.max(i + 1)..(tj + MIRROR_TILE).min(n) {
+                        let v = q.w[q.idx(i, j)];
+                        let d = q.idx(j, i);
+                        q.w[d] = v;
+                    }
+                }
+            }
+        }
+        q
+    }
+
     /// Creates a synthetic random problem: every weight drawn uniformly
     /// from the full 16-bit range `[-32768, 32767]` with `W_ij = W_ji`
-    /// (§4.1.3 of the paper).
+    /// (§4.1.3 of the paper). Weights are drawn row by row over the
+    /// upper triangle (`i ≤ j`).
     ///
     /// # Panics
     /// Panics if `n` is out of range (synthetic generators are test/bench
     /// entry points where a panic is the right failure mode).
     pub fn random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
         // abs-lint: allow(no-unwrap) -- documented Panics contract: synthetic generator entry point
-        let mut q = Self::zero(n).expect("size in range");
-        for i in 0..n {
-            for j in i..n {
-                let v: i16 = rng.gen();
-                q.set(i, j, v);
-            }
-        }
-        q
+        check_size(n).expect("size in range");
+        Self::fill_upper(n, |row| row.iter_mut().for_each(|v| *v = rng.gen()))
     }
 
     /// Number of bits (variables) `n`.
@@ -669,6 +719,55 @@ mod tests {
             assert!(padded[40..].iter().all(|&v| v == 0), "pad not zero");
         }
         assert_eq!(q.coupler_count(), 2);
+    }
+
+    #[test]
+    fn from_upper_matches_cell_by_cell_sets_across_tile_edges() {
+        // 130 spans three mirror tiles per side, the last one partial.
+        for n in [1, 2, 63, 64, 65, 130] {
+            let upper: Vec<i16> = (0..n * (n + 1) / 2)
+                .map(|k| (k as i16).wrapping_mul(7919))
+                .collect();
+            let mut want = Qubo::zero(n).unwrap();
+            let mut k = 0;
+            for i in 0..n {
+                for j in i..n {
+                    want.set(i, j, upper[k]);
+                    k += 1;
+                }
+            }
+            let q = Qubo::from_upper(n, &upper).unwrap();
+            assert!(q == want, "n = {n}");
+            for k in 0..n {
+                assert!(q.row_padded(k)[n..].iter().all(|&v| v == 0), "pad not zero");
+            }
+        }
+        assert_eq!(
+            Qubo::from_upper(3, &[1, 2, 3]).unwrap_err(),
+            QuboError::BadShape {
+                got: 3,
+                expected: 6
+            }
+        );
+        assert_eq!(Qubo::from_upper(0, &[]).unwrap_err(), QuboError::BadSize(0));
+    }
+
+    #[test]
+    fn random_keeps_the_row_major_draw_order() {
+        // The strided fill `Qubo::random` used before the tiled mirror:
+        // same RNG draws, same cells, so seeded instances (and their
+        // content hashes) are unchanged.
+        for n in [5, 64, 97] {
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let mut want = Qubo::zero(n).unwrap();
+            for i in 0..n {
+                for j in i..n {
+                    want.set(i, j, rng.gen());
+                }
+            }
+            let q = Qubo::random(n, &mut StdRng::seed_from_u64(n as u64));
+            assert!(q == want, "n = {n}");
+        }
     }
 
     #[test]

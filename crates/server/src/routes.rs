@@ -91,6 +91,7 @@ type Reply = (u16, String);
 
 /// Serves one connection end to end. Owns the socket so SSE can stream.
 pub fn serve_connection(mut stream: TcpStream, state: &AppState) {
+    let _ = stream.set_read_timeout(Some(http::READ_TIMEOUT));
     let req = match http::read_request(&mut stream) {
         Ok(r) => r,
         Err(HttpError::Disconnected) => return,

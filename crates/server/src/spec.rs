@@ -172,82 +172,117 @@ fn usize_field(obj: &serde_json::Value, field: &'static str) -> Result<Option<us
     }
 }
 
-/// Parses a `POST /jobs` body.
+/// Parses a `POST /jobs` body in one pass of the shared
+/// [`json::Reader`]: the `"problem"` value is decoded in place, and
+/// only the byte span of `"config"` goes through `serde_json`. The
+/// whole body's syntax is checked before any semantic error is
+/// reported; a duplicate key's first occurrence wins.
 ///
 /// # Errors
 /// [`SpecError`] on a malformed payload; syntax errors surface through
 /// the codec's `Syntax` variant.
 pub fn parse_spec(body: &str) -> Result<JobSpec, SpecError> {
-    let value = serde_json::from_str(body)
-        .map_err(|e| SpecError::Problem(json::JsonProblemError::Syntax(e.to_string())))?;
-    if value.as_object().is_none() {
+    let mut r = json::Reader::new(body);
+    let is_object = r.peek() == Some(b'{');
+    let mut problem = None;
+    let mut config = None;
+    let walked = if is_object {
+        r.object(|r, key| {
+            match key {
+                "problem" if problem.is_none() => problem = Some(json::read_problem(r)?),
+                "config" if config.is_none() => {
+                    let start = r.pos();
+                    r.skip_value()?;
+                    config = Some(start..r.pos());
+                }
+                _ => r.skip_value()?,
+            }
+            Ok(())
+        })
+    } else {
+        r.skip_value()
+    };
+    walked.and_then(|()| r.end()).map_err(SpecError::Problem)?;
+    if !is_object {
         return Err(SpecError::NotObject);
     }
-    let problem_value = value.get("problem").ok_or(SpecError::MissingProblem)?;
-    let problem = json::parse_problem_value(problem_value).map_err(SpecError::Problem)?;
-
-    let mut config = JobConfig::default();
-    if let Some(c) = value.get("config") {
-        let Some(fields) = c.as_object() else {
-            return Err(SpecError::BadConfig {
-                field: "config",
-                expected: "an object",
-            });
-        };
-        if let Some(unknown) = fields.keys().find(|k| !CONFIG_FIELDS.contains(k)) {
-            return Err(SpecError::UnknownConfigField((*unknown).to_string()));
+    let problem = problem
+        .ok_or(SpecError::MissingProblem)?
+        .build()
+        .map_err(SpecError::Problem)?;
+    let config = match config {
+        None => JobConfig::default(),
+        Some(span) => {
+            let c = serde_json::from_str(&body[span])
+                .map_err(|e| SpecError::Problem(json::JsonProblemError::Syntax(e.to_string())))?;
+            parse_config(&c)?
         }
-        if let Some(seed) = u64_field(c, "seed")? {
-            config.seed = seed;
-        }
-        if let Some(t) = u64_field(c, "timeout_ms")? {
-            config.timeout_ms = t;
-        }
-        if let Some(v) = c.get("target") {
-            config.target = Some(v.as_i64().ok_or(SpecError::BadConfig {
-                field: "target",
-                expected: "an integer",
-            })?);
-        }
-        config.devices = usize_field(c, "devices")?;
-        config.blocks = usize_field(c, "blocks")?;
-        config.deadline_ms = u64_field(c, "deadline_ms")?;
-        config.checkpoint_interval_ms = u64_field(c, "checkpoint_interval_ms")?;
-        config.deny_checkpoint_write = u64_field(c, "deny_checkpoint_write")?;
-        if let Some(v) = c.get("tenant") {
-            let tenant = v.as_str().ok_or(SpecError::BadConfig {
-                field: "tenant",
-                expected: "a non-empty string",
-            })?;
-            if tenant.is_empty() {
-                return Err(SpecError::BadConfig {
-                    field: "tenant",
-                    expected: "a non-empty string",
-                });
-            }
-            config.tenant = tenant.to_string();
-        }
-        if let Some(v) = c.get("priority") {
-            config.priority =
-                v.as_str()
-                    .and_then(vgpu::Priority::parse)
-                    .ok_or(SpecError::BadConfig {
-                        field: "priority",
-                        expected: "\"interactive\" or \"batch\"",
-                    })?;
-        }
-        if let Some(v) = c.get("warm_start") {
-            config.warm_start = v.as_bool().ok_or(SpecError::BadConfig {
-                field: "warm_start",
-                expected: "a boolean",
-            })?;
-        }
-    }
+    };
     Ok(JobSpec {
         body: body.to_string(),
         problem: Arc::new(problem),
         config,
     })
+}
+
+/// Decodes the `"config"` object; every field is optional.
+fn parse_config(c: &serde_json::Value) -> Result<JobConfig, SpecError> {
+    let Some(fields) = c.as_object() else {
+        return Err(SpecError::BadConfig {
+            field: "config",
+            expected: "an object",
+        });
+    };
+    if let Some(unknown) = fields.keys().find(|k| !CONFIG_FIELDS.contains(k)) {
+        return Err(SpecError::UnknownConfigField((*unknown).to_string()));
+    }
+    let mut config = JobConfig::default();
+    if let Some(seed) = u64_field(c, "seed")? {
+        config.seed = seed;
+    }
+    if let Some(t) = u64_field(c, "timeout_ms")? {
+        config.timeout_ms = t;
+    }
+    if let Some(v) = c.get("target") {
+        config.target = Some(v.as_i64().ok_or(SpecError::BadConfig {
+            field: "target",
+            expected: "an integer",
+        })?);
+    }
+    config.devices = usize_field(c, "devices")?;
+    config.blocks = usize_field(c, "blocks")?;
+    config.deadline_ms = u64_field(c, "deadline_ms")?;
+    config.checkpoint_interval_ms = u64_field(c, "checkpoint_interval_ms")?;
+    config.deny_checkpoint_write = u64_field(c, "deny_checkpoint_write")?;
+    if let Some(v) = c.get("tenant") {
+        let tenant = v.as_str().ok_or(SpecError::BadConfig {
+            field: "tenant",
+            expected: "a non-empty string",
+        })?;
+        if tenant.is_empty() {
+            return Err(SpecError::BadConfig {
+                field: "tenant",
+                expected: "a non-empty string",
+            });
+        }
+        config.tenant = tenant.to_string();
+    }
+    if let Some(v) = c.get("priority") {
+        config.priority =
+            v.as_str()
+                .and_then(vgpu::Priority::parse)
+                .ok_or(SpecError::BadConfig {
+                    field: "priority",
+                    expected: "\"interactive\" or \"batch\"",
+                })?;
+    }
+    if let Some(v) = c.get("warm_start") {
+        config.warm_start = v.as_bool().ok_or(SpecError::BadConfig {
+            field: "warm_start",
+            expected: "a boolean",
+        })?;
+    }
+    Ok(config)
 }
 
 #[cfg(test)]
@@ -352,5 +387,63 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, SpecError::UnknownConfigField("target_energy".into()));
         assert!(err.to_string().contains("known: seed"), "{err}");
+    }
+
+    #[test]
+    fn config_may_precede_problem_and_first_keys_win() {
+        let s = parse_spec(
+            r#"{"config": {"seed": 3}, "problem": {"n": 1, "upper": [-2], "format": "dense"},
+                "config": {"seed": "ignored"}, "problem": 7}"#,
+        )
+        .unwrap();
+        assert_eq!(s.config.seed, 3);
+        assert_eq!(s.problem.get(0, 0), -2);
+        // A refused duplicate is still ignored; one that breaks the JSON
+        // syntax is not.
+        assert!(matches!(
+            parse_spec(r#"{"problem": {"format": "dense", "n": 1, "upper": [1]}, "problem": [1,}"#)
+                .unwrap_err(),
+            SpecError::Problem(json::JsonProblemError::Syntax(_))
+        ));
+    }
+
+    #[test]
+    fn syntax_errors_anywhere_win_over_problem_and_config_errors() {
+        for body in [
+            r#"{"problem": {"format": "dense", "n": 1, "upper": [1.5]}, "x": [}"#,
+            r#"{"problem": {"format": "dense", "n": 1, "upper": [1]}, "config": {"seed": -1}} x"#,
+            r#"{"config": {"bogus": 1}, "problem": {"format": "dense""#,
+        ] {
+            assert!(
+                matches!(
+                    parse_spec(body).unwrap_err(),
+                    SpecError::Problem(json::JsonProblemError::Syntax(_))
+                ),
+                "{body}"
+            );
+        }
+        // Problem errors come before config errors, whatever the order.
+        assert!(matches!(
+            parse_spec(r#"{"config": {"seed": -1}, "problem": {"format": "dense", "n": 1, "upper": [1.5]}}"#)
+                .unwrap_err(),
+            SpecError::Problem(json::JsonProblemError::NotInteger { .. })
+        ));
+        assert_eq!(
+            parse_spec(r#"{"config": 4, "problem": {"format": "dense", "n": 1, "upper": [1]}}"#)
+                .unwrap_err(),
+            SpecError::BadConfig {
+                field: "config",
+                expected: "an object"
+            }
+        );
+    }
+
+    #[test]
+    fn deep_nesting_is_a_syntax_error() {
+        let body = format!(r#"{{"problem": {}"#, "[".repeat(100_000));
+        assert!(matches!(
+            parse_spec(&body).unwrap_err(),
+            SpecError::Problem(json::JsonProblemError::Syntax(_))
+        ));
     }
 }

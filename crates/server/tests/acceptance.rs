@@ -498,6 +498,26 @@ fn bad_requests_are_typed() {
 }
 
 #[test]
+fn deeply_nested_body_is_a_400_and_the_server_survives() {
+    // ~100 KB of `[`: far under the body cap, far deeper than any
+    // handler thread's stack could recurse.
+    let server = Server::spawn(&[]);
+    for body in [
+        format!("{{\"problem\": {}", "[".repeat(100_000)),
+        format!(
+            "{{\"problem\": {{\"format\": \"dense\", \"n\": 1, \"upper\": [1]}}, \"config\": {}",
+            "{\"a\": ".repeat(100_000)
+        ),
+    ] {
+        let (status, text) = http(server.port, "POST", "/jobs", Some(&body));
+        assert_eq!(status, 400, "{text}");
+        assert!(text.contains("invalid JSON"), "{text}");
+    }
+    let (status, _) = http(server.port, "GET", "/metrics", None);
+    assert_eq!(status, 200, "the server must outlive a hostile body");
+}
+
+#[test]
 fn concurrent_jobs_run_simultaneously() {
     // Two solver workers share the device pool: two submitted jobs
     // must both be observably `running` at the same instant, and the
@@ -528,16 +548,26 @@ fn concurrent_jobs_run_simultaneously() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    let (status, text) = http(server.port, "GET", "/metrics", None);
-    assert_eq!(status, 200);
-    assert!(
-        text.contains("abs_server_jobs_running 2"),
-        "the gauge must count concurrent sessions, not saturate at 1: {text}"
-    );
-    assert!(
-        text.contains("abs_pool_blocks_leased{tenant=\"stress\"} 16"),
-        "two 8-block leases aggregate per tenant: {text}"
-    );
+    // A job reads `running` as soon as a worker claims it; the worker
+    // then bumps the gauge and takes its lease, which on one CPU may not
+    // have happened yet. Wait for both, bounded.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (status, text) = http(server.port, "GET", "/metrics", None);
+        assert_eq!(status, 200);
+        let counted = text.contains("abs_server_jobs_running 2");
+        let leased = text.contains("abs_pool_blocks_leased{tenant=\"stress\"} 16");
+        if counted && leased {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the gauge must count concurrent sessions, not saturate at 1 \
+             ({counted}), and two 8-block leases aggregate per tenant \
+             ({leased}): {text}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
     for id in [1, 2] {
         let (status, _) = http(server.port, "DELETE", &format!("/jobs/{id}"), None);
         assert_eq!(status, 202);

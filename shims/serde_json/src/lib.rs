@@ -326,6 +326,7 @@ pub fn from_str(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -345,9 +346,15 @@ pub fn from_slice(bytes: &[u8]) -> Result<Value> {
     from_str(s)
 }
 
+/// Deepest nesting of arrays and objects `from_str` accepts, as in
+/// serde_json: the parser recurses once per level, so without a cap a
+/// small hostile document could overflow the stack.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -377,6 +384,19 @@ impl Parser<'_> {
         }
     }
 
+    /// Consumes the opening byte of a container and enters one level.
+    fn open(&mut self, b: u8) -> Result<()> {
+        self.expect(b)?;
+        self.depth += 1;
+        if self.depth > RECURSION_LIMIT {
+            return Err(Error(format!(
+                "recursion limit exceeded at byte {}",
+                self.pos
+            )));
+        }
+        Ok(())
+    }
+
     fn eat_lit(&mut self, lit: &str) -> bool {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
@@ -401,11 +421,12 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<Value> {
-        self.expect(b'[')?;
+        self.open(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Value::Array(items));
         }
         loop {
@@ -417,6 +438,7 @@ impl Parser<'_> {
                 }
                 Some(b']') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Value::Array(items));
                 }
                 other => return Err(Error(format!("bad array at {:?}", other))),
@@ -425,11 +447,12 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Value> {
-        self.expect(b'{')?;
+        self.open(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Value::Object(fields));
         }
         loop {
@@ -446,6 +469,7 @@ impl Parser<'_> {
                 }
                 Some(b'}') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Value::Object(fields));
                 }
                 other => return Err(Error(format!("bad object at {:?}", other))),
@@ -590,6 +614,20 @@ mod tests {
         assert!(from_str("[1,").is_err());
         assert!(from_str("tru").is_err());
         assert!(from_str(r#"{"a":1}x"#).is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_recursion_limit_is_an_error_not_a_crash() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str(&nested(RECURSION_LIMIT)).is_ok());
+        assert!(from_str(&nested(RECURSION_LIMIT + 1)).is_err());
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(129), "}".repeat(129));
+        assert!(from_str(&objects).is_err());
+        // Siblings do not accumulate depth.
+        let wide = format!("[{}]", vec![nested(RECURSION_LIMIT - 1); 3].join(","));
+        assert!(from_str(&wide).is_ok());
+        // A run far deeper than any stack would take fails cleanly.
+        assert!(from_str(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

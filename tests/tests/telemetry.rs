@@ -9,7 +9,7 @@ use qubo::BitVec;
 use qubo_search::DeltaTracker;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use vgpu::{BlockConfig, BlockRunner, GlobalMem, PolicyKind};
 
 fn solve(n: usize, seed: u64) -> abs::SolveResult {
@@ -75,8 +75,15 @@ fn snapshot_totals_equal_solve_result_fields_after_early_stop() {
     config.seed = 7;
     config.stop = StopCondition::flips(u64::MAX); // never met: we stop it
     let mut session = AbsSession::start(config, &problem).expect("start");
-    for _ in 0..40 {
+    // At least 40 rounds, and on until a device has reported a finished
+    // iteration (whose straight walk is then in its event ring) — on one
+    // CPU the device threads may not have run at all after 40 yields.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut rounds = 0;
+    while rounds < 40 || session.best().is_none() {
         session.poll().expect("poll");
+        rounds += 1;
+        assert!(Instant::now() < deadline, "no device reported in 20 s");
     }
     let r = session.stop().expect("stop");
     let m = &r.metrics;
