@@ -8,7 +8,7 @@
 
 use crate::BaselineResult;
 use qubo::Qubo;
-use qubo_search::{DeltaAcc, DeltaTracker};
+use qubo_search::DeltaTracker;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,10 +43,6 @@ impl SaConfig {
 
 /// Runs simulated annealing from a uniformly random start.
 ///
-/// Uses narrow (`i32`) Δ accumulators when the instance's Δ bound
-/// permits, exactly like the virtual devices; the walk is identical
-/// either way.
-///
 /// # Panics
 /// Panics if `steps == 0` or temperatures are non-positive.
 #[must_use]
@@ -56,25 +52,17 @@ pub fn solve(q: &Qubo, cfg: &SaConfig) -> BaselineResult {
         cfg.t_initial > 0.0 && cfg.t_final > 0.0,
         "temperatures must be positive"
     );
-    if DeltaTracker::<i32>::fits(q) {
-        solve_width::<i32>(q, cfg)
-    } else {
-        solve_width::<i64>(q, cfg)
-    }
-}
-
-fn solve_width<A: DeltaAcc>(q: &Qubo, cfg: &SaConfig) -> BaselineResult {
     let n = q.n();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let start = qubo::BitVec::random(n, &mut rng);
-    let mut t = DeltaTracker::<A>::at_width(q, &start);
+    let mut t = DeltaTracker::at(q, &start);
     let cooling = (cfg.t_final / cfg.t_initial).powf(1.0 / cfg.steps as f64);
     let mut temp = cfg.t_initial;
     let mut accepted = 0u64;
     for _ in 0..cfg.steps {
         let k = rng.gen_range(0..n);
-        let d = t.deltas()[k].to_energy();
-        let accept = d <= 0 || rng.gen::<f64>() < (-(d as f64) / temp).exp();
+        let d = t.deltas()[k];
+        let accept = d <= 0 || rng.gen::<f64>() < (-f64::from(d) / temp).exp();
         if accept {
             t.flip(k);
             accepted += 1;
@@ -146,17 +134,6 @@ mod tests {
         let rh = solve(&q, &hot);
         // Hot accepts nearly everything; cold only downhill.
         assert!(rh.steps > rc.steps);
-    }
-
-    #[test]
-    fn narrow_and_wide_widths_agree() {
-        let q = random_qubo(20, 11);
-        let cfg = SaConfig::for_instance(&q, 8_000, 12);
-        let narrow = solve_width::<i32>(&q, &cfg);
-        let wide = solve_width::<i64>(&q, &cfg);
-        assert_eq!(narrow.best_energy, wide.best_energy);
-        assert_eq!(narrow.best, wide.best);
-        assert_eq!(narrow.steps, wide.steps);
     }
 
     #[test]

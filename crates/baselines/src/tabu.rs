@@ -6,7 +6,7 @@
 
 use crate::BaselineResult;
 use qubo::Qubo;
-use qubo_search::{DeltaAcc, DeltaTracker};
+use qubo_search::DeltaTracker;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -23,10 +23,6 @@ pub struct TabuConfig {
 
 /// Runs tabu search from a uniformly random start.
 ///
-/// Uses narrow (`i32`) Δ accumulators when the instance's Δ bound
-/// permits, exactly like the virtual devices; the walk is identical
-/// either way.
-///
 /// # Panics
 /// Panics if `steps == 0` or `tenure >= n` leaves no admissible move.
 #[must_use]
@@ -38,27 +34,19 @@ pub fn solve(q: &Qubo, cfg: &TabuConfig) -> BaselineResult {
         cfg.tenure,
         q.n()
     );
-    if DeltaTracker::<i32>::fits(q) {
-        solve_width::<i32>(q, cfg)
-    } else {
-        solve_width::<i64>(q, cfg)
-    }
-}
-
-fn solve_width<A: DeltaAcc>(q: &Qubo, cfg: &TabuConfig) -> BaselineResult {
     let n = q.n();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let start = qubo::BitVec::random(n, &mut rng);
-    let mut t = DeltaTracker::<A>::at_width(q, &start);
+    let mut t = DeltaTracker::at(q, &start);
     // tabu_until[i]: first iteration at which bit i may flip again.
     let mut tabu_until = vec![0u64; n];
     for it in 0..cfg.steps {
         let (_, best_e) = t.best();
         let e = t.energy();
-        let mut chosen: Option<(usize, A)> = None;
+        let mut chosen: Option<(usize, i32)> = None;
         for (i, &d) in t.deltas().iter().enumerate() {
             let tabu = tabu_until[i] > it;
-            let aspirates = e + d.to_energy() < best_e;
+            let aspirates = e + i64::from(d) < best_e;
             if tabu && !aspirates {
                 continue;
             }
@@ -123,20 +111,6 @@ mod tests {
         for i in 0..20 {
             assert!(q.energy(&r.best.flipped(i)) >= r.best_energy, "bit {i}");
         }
-    }
-
-    #[test]
-    fn narrow_and_wide_widths_agree() {
-        let q = random_qubo(18, 9);
-        let cfg = TabuConfig {
-            tenure: 4,
-            steps: 4_000,
-            seed: 10,
-        };
-        let narrow = solve_width::<i32>(&q, &cfg);
-        let wide = solve_width::<i64>(&q, &cfg);
-        assert_eq!(narrow.best_energy, wide.best_energy);
-        assert_eq!(narrow.best, wide.best);
     }
 
     #[test]

@@ -46,7 +46,7 @@ fn bench_energy_paths(c: &mut Criterion) {
             let mut k = 0usize;
             b.iter(|| {
                 k = (k + 1) % n;
-                black_box(tracker.energy() + tracker.deltas()[k])
+                black_box(tracker.energy() + i64::from(tracker.deltas()[k]))
             });
         });
     }

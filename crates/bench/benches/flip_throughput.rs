@@ -2,16 +2,15 @@
 //! best tracking. Throughput here, times (n + 1), is the single-block
 //! CPU search rate (the per-block analogue of Table 2).
 //!
-//! Four kernels are compared on identical walks (window policy, ℓ =
+//! Three kernels are compared on identical walks (window policy, ℓ =
 //! n/8):
 //!
 //! * `seed_i64` — the pre-fusion kernel: Eq. (16) update loop, then a
 //!   *separate* full-array min pass for best tracking, then a windowed
 //!   select with a per-element `% n`.
-//! * `fused_i64` — the fused single-pass kernel at the original width.
-//! * `fused_i32` — the fused kernel with narrow accumulators, pinned to
-//!   the scalar arm (`FlipKernel::Scalar`) so the row keeps measuring
-//!   the pre-SIMD baseline.
+//! * `fused_i32` — the fused single-pass kernel with `i32`
+//!   accumulators, pinned to the scalar arm (`FlipKernel::Scalar`) so
+//!   the row keeps measuring the pre-SIMD baseline.
 //! * `simd` — the runtime-dispatched lane-wise kernel
 //!   ([`FlipKernel::detect`]: the AVX-512 mask-register arm where the
 //!   CPU supports it, else the portable lane arm on builds that already
@@ -25,7 +24,7 @@
 use criterion::{Bencher, BenchmarkId, Criterion, Throughput};
 use qubo::{BitVec, Qubo};
 use qubo_problems::random;
-use qubo_search::{DeltaAcc, DeltaTracker, FlipKernel, SelectionPolicy, WindowMinPolicy};
+use qubo_search::{DeltaTracker, FlipKernel, SelectionPolicy, WindowMinPolicy};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -121,14 +120,14 @@ fn bench_seed(b: &mut Bencher<'_>, q: &Qubo, window: usize) {
     });
 }
 
-fn bench_fused<A: DeltaAcc>(b: &mut Bencher<'_>, q: &Qubo, window: usize, kernel: FlipKernel) {
+fn bench_fused(b: &mut Bencher<'_>, q: &Qubo, window: usize, kernel: FlipKernel) {
     let n = q.n();
-    let mut t = DeltaTracker::<A>::with_kernel(q, kernel);
+    let mut t = DeltaTracker::with_kernel(q, kernel);
     let mut p = WindowMinPolicy::new(window);
-    let (a, l) = SelectionPolicy::<A>::next_window(&mut p, n).expect("window policy");
+    let (a, l) = p.next_window(n).expect("window policy");
     let mut k = t.select_in_window(a, l);
     b.iter(|| {
-        let (a, l) = SelectionPolicy::<A>::next_window(&mut p, n).expect("window policy");
+        let (a, l) = p.next_window(n).expect("window policy");
         k = t.flip_select(black_box(k), (a, l));
     });
 }
@@ -153,14 +152,11 @@ fn bench_flip(c: &mut Criterion) {
             g.bench_with_input(BenchmarkId::new("seed_i64", n), &n, |b, _| {
                 bench_seed(b, &q, window);
             });
-            g.bench_with_input(BenchmarkId::new("fused_i64", n), &n, |b, _| {
-                bench_fused::<i64>(b, &q, window, FlipKernel::Scalar);
-            });
             g.bench_with_input(BenchmarkId::new("fused_i32", n), &n, |b, _| {
-                bench_fused::<i32>(b, &q, window, FlipKernel::Scalar);
+                bench_fused(b, &q, window, FlipKernel::Scalar);
             });
             g.bench_with_input(BenchmarkId::new("simd", n), &n, |b, _| {
-                bench_fused::<i32>(b, &q, window, FlipKernel::detect());
+                bench_fused(b, &q, window, FlipKernel::detect());
             });
         }
     }
@@ -184,7 +180,7 @@ fn bench_straight_step(c: &mut Criterion) {
                 // Pick and flip the min-Δ differing bit; when exhausted,
                 // flip toward a fresh far-away point by inverting target
                 // membership — keeps distance high without reallocation.
-                let mut best: Option<(usize, i64)> = None;
+                let mut best: Option<(usize, i32)> = None;
                 for i in t.x().iter_diff(&target) {
                     let d = t.deltas()[i];
                     if best.is_none_or(|(_, bd)| d < bd) {
@@ -216,36 +212,27 @@ fn sanity_check() {
         seed.flip(k);
     }
 
-    fn run_fused<A: DeltaAcc>(
-        q: &Qubo,
-        window: usize,
-        flips: usize,
-        kernel: FlipKernel,
-    ) -> (i64, i64, BitVec) {
-        let mut t = DeltaTracker::<A>::with_kernel(q, kernel);
+    fn run_fused(q: &Qubo, window: usize, flips: usize, kernel: FlipKernel) -> (i64, i64, BitVec) {
+        let mut t = DeltaTracker::with_kernel(q, kernel);
         let mut p = WindowMinPolicy::new(window);
         for _ in 0..flips {
-            let (a, l) = SelectionPolicy::<A>::next_window(&mut p, q.n()).expect("window");
+            let (a, l) = p.next_window(q.n()).expect("window");
             let k = t.select_in_window(a, l);
             t.flip(k);
         }
         (t.energy(), t.best().1, t.x().clone())
     }
 
-    let (e64, b64, x64) = run_fused::<i64>(&q, window, flips, FlipKernel::Scalar);
-    let (e32, b32, x32) = run_fused::<i32>(&q, window, flips, FlipKernel::Scalar);
-    let (es, bs, xs) = run_fused::<i32>(&q, window, flips, FlipKernel::detect());
-    assert_eq!(seed.e, e64, "fused i64 diverged from the seed kernel");
-    assert_eq!(seed.best_e, b64, "fused i64 best diverged");
-    assert_eq!(seed.x, x64, "fused i64 solution diverged");
-    assert_eq!(e64, e32, "i32 energy diverged from i64");
-    assert_eq!(b64, b32, "i32 best diverged from i64");
-    assert_eq!(x64, x32, "i32 solution diverged from i64");
+    let (e32, b32, x32) = run_fused(&q, window, flips, FlipKernel::Scalar);
+    let (es, bs, xs) = run_fused(&q, window, flips, FlipKernel::detect());
+    assert_eq!(seed.e, e32, "fused i32 diverged from the seed kernel");
+    assert_eq!(seed.best_e, b32, "fused i32 best diverged");
+    assert_eq!(seed.x, x32, "fused i32 solution diverged");
     assert_eq!(e32, es, "simd energy diverged from scalar i32");
     assert_eq!(b32, bs, "simd best diverged from scalar i32");
     assert_eq!(x32, xs, "simd solution diverged from scalar i32");
     println!(
-        "sanity: seed, fused_i64, fused_i32, simd({}) agree after {flips} flips (E = {e64})",
+        "sanity: seed, fused_i32, simd({}) agree after {flips} flips (E = {e32})",
         FlipKernel::detect().name()
     );
 }
@@ -270,10 +257,8 @@ fn write_report(c: &Criterion) {
     let mut pass = true;
     for n in [256usize, 1024, 4096] {
         let seed = mean_ns(c, &format!("tracker_flip/seed_i64/{n}"));
-        let f64_ns = mean_ns(c, &format!("tracker_flip/fused_i64/{n}"));
         let f32_ns = mean_ns(c, &format!("tracker_flip/fused_i32/{n}"));
         let simd_ns = mean_ns(c, &format!("tracker_flip/simd/{n}"));
-        let s64 = seed / f64_ns;
         let s32 = seed / f32_ns;
         let ssimd = f32_ns / simd_ns;
         if gate_sizes.contains(&n) && (s32 < GATE || ssimd < SIMD_GATE) {
@@ -281,9 +266,8 @@ fn write_report(c: &Criterion) {
         }
         rows.push(format!(
             "    {{\"n\": {n}, \"window\": {w}, \"seed_i64_ns\": {seed:.1}, \
-             \"fused_i64_ns\": {f64_ns:.1}, \"fused_i32_ns\": {f32_ns:.1}, \
-             \"simd_ns\": {simd_ns:.1}, \
-             \"speedup_fused_i64\": {s64:.3}, \"speedup_fused_i32\": {s32:.3}, \
+             \"fused_i32_ns\": {f32_ns:.1}, \"simd_ns\": {simd_ns:.1}, \
+             \"speedup_fused_i32\": {s32:.3}, \
              \"speedup_simd_vs_fused_i32\": {ssimd:.3}}}",
             w = n / 8
         ));

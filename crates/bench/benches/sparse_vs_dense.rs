@@ -5,7 +5,7 @@
 //!
 //! Both arms run the exact workload the vgpu block driver issues: a
 //! fused `flip_select` under the window-min policy (ℓ = n/8). The dense
-//! arm is the runtime-dispatched SIMD kernel (`DeltaTracker<i32>` +
+//! arm is the runtime-dispatched SIMD kernel (`DeltaTracker` +
 //! [`FlipKernel::detect`]); the sparse arm is the CSR
 //! `SparseDeltaTracker` with its bucketed window selection.
 //!
@@ -102,10 +102,10 @@ fn sweep_instance(n: usize, per_mille: u64, seed: u64) -> Qubo {
 fn bench_tracker<T: SearchTracker>(b: &mut Bencher<'_>, t: &mut T, window: usize) {
     let n = t.n();
     let mut p = WindowMinPolicy::new(window);
-    let (a, l) = SelectionPolicy::<T::Acc>::next_window(&mut p, n).expect("window policy");
+    let (a, l) = p.next_window(n).expect("window policy");
     let mut k = t.select_in_window(a, l);
     b.iter(|| {
-        let (a, l) = SelectionPolicy::<T::Acc>::next_window(&mut p, n).expect("window policy");
+        let (a, l) = p.next_window(n).expect("window policy");
         k = t.flip_select(black_box(k), (a, l));
     });
 }
@@ -140,7 +140,7 @@ fn bench_sweep(c: &mut Criterion) -> Vec<Cell> {
         for _pass in 0..2 {
             g.throughput(Throughput::Elements(1));
             g.bench_with_input(BenchmarkId::new("dense_simd", pm), &pm, |b, _| {
-                let mut t = DeltaTracker::<i32>::with_kernel(&q, FlipKernel::detect());
+                let mut t = DeltaTracker::with_kernel(&q, FlipKernel::detect());
                 bench_tracker(b, &mut t, window);
             });
             g.bench_with_input(BenchmarkId::new("sparse", pm), &pm, |b, _| {
@@ -163,19 +163,19 @@ fn bench_sweep(c: &mut Criterion) -> Vec<Cell> {
 fn sanity_check(q: &Qubo, s: &SparseQubo) {
     let window = q.n() / 8;
     let steps = 5_000usize;
-    let mut dense = DeltaTracker::<i32>::with_kernel(q, FlipKernel::detect());
+    let mut dense = DeltaTracker::with_kernel(q, FlipKernel::detect());
     let mut sparse = SparseDeltaTracker::new(s);
     let mut pd = WindowMinPolicy::new(window);
     let mut ps = WindowMinPolicy::new(window);
-    let (a, l) = SelectionPolicy::<i32>::next_window(&mut pd, q.n()).expect("window");
+    let (a, l) = pd.next_window(q.n()).expect("window");
     let mut kd = dense.select_in_window(a, l);
-    let (a, l) = SelectionPolicy::<i64>::next_window(&mut ps, q.n()).expect("window");
+    let (a, l) = ps.next_window(q.n()).expect("window");
     let mut ks = sparse.select_in_window(a, l);
     assert_eq!(kd, ks, "initial selection diverged");
     for _ in 0..steps {
-        let (a, l) = SelectionPolicy::<i32>::next_window(&mut pd, q.n()).expect("window");
+        let (a, l) = pd.next_window(q.n()).expect("window");
         kd = dense.flip_select(kd, (a, l));
-        let (a, l) = SelectionPolicy::<i64>::next_window(&mut ps, q.n()).expect("window");
+        let (a, l) = ps.next_window(q.n()).expect("window");
         ks = sparse.flip_select(ks, (a, l));
         assert_eq!(kd, ks, "selection diverged");
     }

@@ -45,7 +45,7 @@ fn cfg(n: usize) -> BlockConfig {
 fn bench_iteration(b: &mut Bencher<'_>, q: &Qubo, event_capacity: usize) {
     let n = q.n();
     let mem = GlobalMem::with_capacities(TARGET_CAP, RESULT_CAP, event_capacity);
-    let mut runner = BlockRunner::new(q, cfg(n));
+    let mut runner = BlockRunner::dense(q, cfg(n));
     let mut rng = StdRng::seed_from_u64(11);
     let target = BitVec::random(n, &mut rng);
     b.iter(|| {
@@ -84,7 +84,7 @@ fn sanity_check() {
 
     let run = |event_capacity: usize| -> (u64, i64) {
         let mem = GlobalMem::with_capacities(TARGET_CAP, RESULT_CAP, event_capacity);
-        let mut runner = BlockRunner::new(&q, cfg(n));
+        let mut runner = BlockRunner::dense(&q, cfg(n));
         let mut flips = 0u64;
         for t in &targets {
             mem.push_target(t.clone());

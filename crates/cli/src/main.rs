@@ -15,10 +15,11 @@
 //! (when `--checkpoint-out` is set) and the partial result is reported
 //! with exit code 0.
 
-#![deny(unsafe_code)] // `signals` is the single allowed island
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use abs::{AbsConfig, AbsError, AbsSession, SessionStatus, StopCondition};
+use abs_server::signals;
 use qubo::{format, Qubo};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -27,7 +28,6 @@ use vgpu::FaultPlan;
 
 mod args;
 mod output;
-mod signals;
 
 use args::{Command, Options};
 

@@ -78,26 +78,11 @@ mod tests {
     use crate::config::StopCondition;
     use crate::stats::DeviceStatus;
     use qubo::{BitVec, Energy};
+    use qubo_baselines::exact;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
-
-    fn brute_force(q: &Qubo) -> (BitVec, Energy) {
-        let n = q.n();
-        assert!(n <= 20);
-        let mut best = BitVec::zeros(n);
-        let mut best_e = q.energy(&best);
-        for bits in 1u32..(1 << n) {
-            let x = BitVec::from_bits(&(0..n).map(|i| ((bits >> i) & 1) as u8).collect::<Vec<_>>());
-            let e = q.energy(&x);
-            if e < best_e {
-                best_e = e;
-                best = x;
-            }
-        }
-        (best, best_e)
-    }
 
     fn solve(cfg: AbsConfig, q: &Qubo) -> SolveResult {
         Abs::new(cfg)
@@ -110,7 +95,7 @@ mod tests {
     fn finds_exact_optimum_of_small_problem() {
         let mut rng = StdRng::seed_from_u64(1);
         let q = Qubo::random(16, &mut rng);
-        let (_, opt) = brute_force(&q);
+        let opt = exact::solve(&q).best_energy;
         let mut cfg = AbsConfig::small();
         cfg.stop = StopCondition::target(opt).with_timeout(Duration::from_secs(30));
         let r = solve(cfg, &q);
@@ -225,7 +210,7 @@ mod tests {
         // correctness: energies remain exact and small optima are found.
         let mut rng = StdRng::seed_from_u64(8);
         let q = Qubo::random(14, &mut rng);
-        let (_, opt) = brute_force(&q);
+        let opt = exact::solve(&q).best_energy;
         let mut cfg = AbsConfig::small();
         cfg.machine.device.adaptive = Some(vgpu::AdaptiveConfig { patience: 3 });
         cfg.stop = StopCondition::target(opt).with_timeout(Duration::from_secs(30));
@@ -240,7 +225,8 @@ mod tests {
         // search evaluates it, so the target is hit with a tiny budget.
         let mut rng = StdRng::seed_from_u64(9);
         let q = Qubo::random(18, &mut rng);
-        let (opt_x, opt_e) = brute_force(&q);
+        let opt = exact::solve(&q);
+        let (opt_x, opt_e) = (opt.best, opt.best_energy);
         let mut cfg = AbsConfig::small();
         cfg.initial_solutions = vec![opt_x.clone()];
         cfg.stop = StopCondition::target(opt_e).with_timeout(Duration::from_secs(20));

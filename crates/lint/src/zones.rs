@@ -13,9 +13,10 @@ use crate::rules::Finding;
 /// The invariant zone of one source file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Zone {
-    /// The device kernel: `qubo_search` (tracker / local / straight /
-    /// policy / acc), `vgpu::block`, and `qubo::energy`. Deterministic,
-    /// integer-only, allocation-free on the per-flip path.
+    /// The device kernel: `qubo_search` (tracker / sparse / simd / local /
+    /// straight / policy), `vgpu::block`, `qubo::energy` and
+    /// `qubo::sparse`. Deterministic, integer-only, allocation-free on
+    /// the per-flip path.
     Device,
     /// The host GA (`crates/ga`): breeds targets, never computes energy.
     HostGa,
@@ -114,7 +115,6 @@ pub const HOT_FNS: &[&str] = &[
     "slice_min_first",
     "local_search",
     "straight_search",
-    "add_coupling",
     "select",
     "next_window",
     "flip_update",

@@ -62,3 +62,13 @@ pub use storage::{CouplingMatrix, MatrixStorage, SPARSE_DENSITY_PER_MILLE};
 /// Maximum problem size supported by the reference ABS implementation
 /// (the paper's GPU register budget allows up to 32 k bits).
 pub const MAX_BITS: usize = 32 * 1024;
+
+// Every Δ_k(X) of a supported instance fits an `i32`, which is why the
+// search trackers keep their Δ vectors in `i32`. By Eq. (4),
+// |Δ_k| ≤ 2·Σ_{i≠k} |W_ki| + |W_kk| ≤ |i16::MIN|·(2·MAX_BITS − 1)
+// = 32 768 · 65 535 = 2 147 450 880 at MAX_BITS = 32 768, which is 32 767
+// below `i32::MAX`. Raising MAX_BITS past 32 768 fails the build here.
+const _: () = assert!(
+    (2 * MAX_BITS as i64 - 1) * -(i16::MIN as i64) <= i32::MAX as i64,
+    "a Δ value at MAX_BITS would overflow the i32 search accumulators"
+);

@@ -429,24 +429,6 @@ impl Qubo {
         self.w.iter().map(|&v| i64::from(v).abs()).sum()
     }
 
-    /// A bound on `|Δ_k(X)|` over all `X` and `k`:
-    /// `max_k (2·Σ_{i≠k} |W_ki| + |W_kk|) ≤ 2·n·max|W|`.
-    ///
-    /// From Eq. (4), `Δ_k = φ(x_k)·(2·Σ_{i≠k} W_ki x_i + W_kk)`, so the
-    /// per-row bound holds for every reachable state. Incremental
-    /// trackers use this to decide whether narrow (32-bit) Δ
-    /// accumulators are safe for this instance.
-    #[must_use]
-    pub fn delta_bound(&self) -> i64 {
-        (0..self.n)
-            .map(|k| {
-                let row_l1: i64 = self.row(k).iter().map(|&v| i64::from(v).abs()).sum();
-                2 * row_l1 - i64::from(self.diag(k)).abs()
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The largest absolute weight `max |W_ij|`.
     #[must_use]
     pub fn max_abs_weight(&self) -> i64 {
@@ -847,29 +829,6 @@ mod tests {
         let mut d = q.clone();
         d.set(0, 1, i16::MAX);
         assert_ne!(q, d);
-    }
-
-    #[test]
-    fn delta_bound_bounds_all_deltas() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let q = Qubo::random(8, &mut rng);
-        let bound = q.delta_bound();
-        for bits in 0u32..256 {
-            let x = BitVec::from_bits(&(0..8).map(|i| ((bits >> i) & 1) as u8).collect::<Vec<_>>());
-            for k in 0..8 {
-                assert!(q.delta(&x, k).abs() <= bound, "bits={bits:08b} k={k}");
-            }
-        }
-        assert!(bound <= 2 * 8 * q.max_abs_weight());
-    }
-
-    #[test]
-    fn delta_bound_is_tight_on_fig1() {
-        // Row 3 of Fig. 1: |−6| + 2·(3 + 0 + 2) = 16; rows 0–2 give
-        // 15, 9, 14 — the max is 16.
-        let q = paper_fig1();
-        assert_eq!(q.delta_bound(), 16);
-        assert_eq!(q.max_abs_weight(), 8);
     }
 
     #[test]

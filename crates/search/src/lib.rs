@@ -19,11 +19,12 @@
 //! * [`naive`] — instrumented reference implementations of Algorithms
 //!   1–3, used to reproduce the search-efficiency analysis
 //!   (Lemmas 1–3) experimentally.
-//! * [`acc`] — Δ accumulator widths. The flip kernel is generic over
-//!   [`DeltaAcc`] (`i32`/`i64`): when [`qubo::Qubo::delta_bound`] fits 32
-//!   bits the narrow width halves the hot loop's memory traffic. Use
-//!   [`DeltaTracker::fits`] to pick, [`DeltaTracker::with_width`] to
-//!   build.
+//!
+//! Both trackers keep the Δ vector in `i32`: with 16-bit weights and
+//! `n ≤ qubo::MAX_BITS` every `|Δ_k(X)|` is at most
+//! `32 768 · 65 535 = 2 147 450 880`, which the `qubo` crate asserts
+//! below `i32::MAX` at compile time. Energies and best records stay
+//! `i64`.
 //!
 //! The flip hot path is *fused* (one Δ-vector traversal per flip): the
 //! Eq. (16) update, the Theorem 1 best-neighbour min, and — through
@@ -31,14 +32,14 @@
 //! the same pass. [`local_search`] uses the fused path automatically for
 //! any policy implementing [`SelectionPolicy::next_window`].
 //!
-//! On top of the fusion sits a SIMD tier ([`simd`]): for `i32`
-//! accumulators the fused pass runs in `[i32; LANES]` chunks over the
-//! padded row layout of [`qubo::Qubo`], with an AVX2 specialization
-//! behind runtime feature detection ([`FlipKernel::detect`]) and the
-//! scalar fused path as the portable, bit-identical fallback.
+//! On top of the fusion sits a SIMD tier ([`simd`]): the fused pass
+//! runs in `[i32; LANES]` chunks over the padded row layout of
+//! [`qubo::Qubo`], with an AVX2 specialization behind runtime feature
+//! detection ([`FlipKernel::detect`]) and the scalar fused path as the
+//! portable, bit-identical fallback.
 //! `ABS_FORCE_SCALAR=1` forces the scalar arm process-wide.
 //!
-//! Orthogonal to the accumulator width sits the *storage* axis
+//! Orthogonal to the flip kernel sits the *storage* axis
 //! (`qubo::MatrixStorage`): [`SparseDeltaTracker`] is the CSR arm with
 //! O(degree) flips and bucketed window selection, bit-identical in
 //! trajectories and best records to [`DeltaTracker`]. The
@@ -77,7 +78,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod acc;
 pub mod local;
 pub mod naive;
 pub mod policy;
@@ -86,7 +86,6 @@ pub mod sparse;
 pub mod straight;
 pub mod tracker;
 
-pub use acc::DeltaAcc;
 pub use local::local_search;
 pub use policy::{
     window_argmin, GreedyPolicy, MetropolisPolicy, RandomPolicy, SelectionPolicy, WindowMinPolicy,

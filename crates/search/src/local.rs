@@ -30,7 +30,7 @@ use crate::tracker::SearchTracker;
 /// iteration (Step 4b), so that the resulting solution `C'` is a valid
 /// known starting point for the next straight search and the O(1) search
 /// efficiency is preserved across iterations (Fig. 4).
-pub fn local_search<T: SearchTracker + ?Sized, P: SelectionPolicy<T::Acc> + ?Sized>(
+pub fn local_search<T: SearchTracker + ?Sized, P: SelectionPolicy + ?Sized>(
     tracker: &mut T,
     policy: &mut P,
     steps: usize,
@@ -62,8 +62,8 @@ pub fn local_search<T: SearchTracker + ?Sized, P: SelectionPolicy<T::Acc> + ?Siz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::acc::DeltaAcc;
     use crate::policy::{GreedyPolicy, MetropolisPolicy, RandomPolicy, WindowMinPolicy};
+    use crate::simd::FlipKernel;
     use crate::tracker::DeltaTracker;
     use qubo::{BitVec, Qubo};
     use rand::rngs::StdRng;
@@ -139,8 +139,8 @@ mod tests {
 
     /// The seed-era driver, kept as the reference for trajectory
     /// equivalence: select with the policy's two-call API, then flip.
-    fn reference_local_search<A: DeltaAcc, P: SelectionPolicy<A>>(
-        tracker: &mut DeltaTracker<'_, A>,
+    fn reference_local_search<P: SelectionPolicy>(
+        tracker: &mut DeltaTracker<'_>,
         policy: &mut P,
         steps: usize,
     ) {
@@ -199,16 +199,18 @@ mod tests {
 
     #[test]
     fn narrow_tracker_follows_the_same_trajectory() {
+        // The dispatched lane arm and the scalar arm, driven through the
+        // fused loop, walk the same solutions.
         let q = random_qubo(40, 40);
-        let mut wide = DeltaTracker::new(&q);
-        let mut narrow = DeltaTracker::<'_, i32>::with_width(&q);
-        let mut pw = WindowMinPolicy::new(6);
-        let mut pn = WindowMinPolicy::new(6);
-        local_search(&mut wide, &mut pw, 500);
-        local_search(&mut narrow, &mut pn, 500);
-        assert_eq!(wide.x(), narrow.x());
-        assert_eq!(wide.energy(), narrow.energy());
-        assert_eq!(wide.best().1, narrow.best().1);
-        narrow.verify();
+        let mut scalar = DeltaTracker::with_kernel(&q, FlipKernel::Scalar);
+        let mut lanes = DeltaTracker::with_kernel(&q, FlipKernel::detect());
+        let mut ps = WindowMinPolicy::new(6);
+        let mut pl = WindowMinPolicy::new(6);
+        local_search(&mut scalar, &mut ps, 500);
+        local_search(&mut lanes, &mut pl, 500);
+        assert_eq!(scalar.x(), lanes.x());
+        assert_eq!(scalar.energy(), lanes.energy());
+        assert_eq!(scalar.best().1, lanes.best().1);
+        lanes.verify();
     }
 }

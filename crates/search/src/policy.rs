@@ -14,7 +14,6 @@
 //! ([`crate::DeltaTracker::flip_select`]) so each local-search step
 //! traverses the Δ vector exactly once.
 
-use crate::acc::DeltaAcc;
 use qubo::BitVec;
 // abs-lint: allow(device-no-rand) -- RandomPolicy/MetropolisPolicy only: documented deviations from the Fig. 2 kernel (DESIGN.md); the window policies consume no randomness
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -24,13 +23,9 @@ use rand::{rngs::SmallRng, Rng, SeedableRng};
 /// Implementations must return an index `< deltas.len()` and must always
 /// return *some* index: the forced flip is what keeps the flips-per-second
 /// (and therefore the search rate) constant even near local minima.
-///
-/// The parameter `A` is the Δ accumulator width of the tracker being
-/// driven (default `i64`); deterministic policies are width-oblivious and
-/// implement the trait for every width.
-pub trait SelectionPolicy<A: DeltaAcc = i64>: Send {
+pub trait SelectionPolicy: Send {
     /// Selects the bit to flip.
-    fn select(&mut self, deltas: &[A], x: &BitVec) -> usize;
+    fn select(&mut self, deltas: &[i32], x: &BitVec) -> usize;
 
     /// If the next selection is "argmin Δ over a circular window", returns
     /// that window as `(start, len)` and advances internal state as if
@@ -68,7 +63,7 @@ pub trait SelectionPolicy<A: DeltaAcc = i64>: Send {
 /// # Panics
 /// Panics if `deltas` is empty or `start >= n`.
 #[must_use]
-pub fn window_argmin<A: DeltaAcc>(deltas: &[A], start: usize, len: usize) -> usize {
+pub fn window_argmin(deltas: &[i32], start: usize, len: usize) -> usize {
     let n = deltas.len();
     assert!(start < n, "window start {start} out of range {n}");
     let l = len.clamp(1, n);
@@ -91,7 +86,7 @@ pub fn window_argmin<A: DeltaAcc>(deltas: &[A], start: usize, len: usize) -> usi
 /// reduction, then one equality scan to locate the index (the reduction
 /// auto-vectorizes; the locate pass is rarely the bottleneck at window
 /// sizes).
-fn slice_min_first<A: DeltaAcc>(s: &[A]) -> (usize, A) {
+fn slice_min_first(s: &[i32]) -> (usize, i32) {
     // invariant: callers pass non-empty slices (window_argmin clamps
     // len to [1, n]), so s[0] and s[1..] are in bounds.
     let mut min_v = s[0];
@@ -150,12 +145,6 @@ impl WindowMinPolicy {
         self.offset
     }
 
-    /// Rewinds the offset to 0 (inherent mirror of the trait `reset`, so
-    /// concrete call sites need no width annotation).
-    pub fn reset(&mut self) {
-        self.offset = 0;
-    }
-
     /// The shared advance step: normalizes `(a, ℓ)` for an `n`-bit
     /// problem and moves the offset past the window.
     fn advance(&mut self, n: usize) -> (usize, usize) {
@@ -166,8 +155,8 @@ impl WindowMinPolicy {
     }
 }
 
-impl<A: DeltaAcc> SelectionPolicy<A> for WindowMinPolicy {
-    fn select(&mut self, deltas: &[A], _x: &BitVec) -> usize {
+impl SelectionPolicy for WindowMinPolicy {
+    fn select(&mut self, deltas: &[i32], _x: &BitVec) -> usize {
         let (a, l) = self.advance(deltas.len());
         window_argmin(deltas, a, l)
     }
@@ -177,7 +166,7 @@ impl<A: DeltaAcc> SelectionPolicy<A> for WindowMinPolicy {
     }
 
     fn reset(&mut self) {
-        WindowMinPolicy::reset(self);
+        self.offset = 0;
     }
 }
 
@@ -186,8 +175,8 @@ impl<A: DeltaAcc> SelectionPolicy<A> for WindowMinPolicy {
 #[derive(Clone, Debug, Default)]
 pub struct GreedyPolicy;
 
-impl<A: DeltaAcc> SelectionPolicy<A> for GreedyPolicy {
-    fn select(&mut self, deltas: &[A], _x: &BitVec) -> usize {
+impl SelectionPolicy for GreedyPolicy {
+    fn select(&mut self, deltas: &[i32], _x: &BitVec) -> usize {
         deltas
             .iter()
             .enumerate()
@@ -221,8 +210,8 @@ impl RandomPolicy {
     }
 }
 
-impl<A: DeltaAcc> SelectionPolicy<A> for RandomPolicy {
-    fn select(&mut self, deltas: &[A], _x: &BitVec) -> usize {
+impl SelectionPolicy for RandomPolicy {
+    fn select(&mut self, deltas: &[i32], _x: &BitVec) -> usize {
         self.rng.gen_range(0..deltas.len())
     }
 }
@@ -260,19 +249,19 @@ impl MetropolisPolicy {
     }
 }
 
-impl<A: DeltaAcc> SelectionPolicy<A> for MetropolisPolicy {
-    fn select(&mut self, deltas: &[A], _x: &BitVec) -> usize {
+impl SelectionPolicy for MetropolisPolicy {
+    fn select(&mut self, deltas: &[i32], _x: &BitVec) -> usize {
         let n = deltas.len();
         let mut k = 0;
         for _ in 0..self.max_tries {
             k = self.rng.gen_range(0..n);
             // invariant: k < n = deltas.len() by the gen_range bound.
-            let d = deltas[k].to_energy();
+            let d = deltas[k];
             if d <= 0 {
                 break;
             }
             // abs-lint: allow(device-no-float) -- Eq. (7) acceptance probability; Metropolis deviation
-            let p = (-(d as f64) / self.temperature.max(f64::MIN_POSITIVE)).exp();
+            let p = (-f64::from(d) / self.temperature.max(f64::MIN_POSITIVE)).exp();
             // abs-lint: allow(device-no-float) -- Eq. (7) acceptance sample; Metropolis deviation
             if self.rng.gen::<f64>() < p {
                 break;
@@ -296,7 +285,7 @@ mod tests {
     /// flipped and the offset advances to 8.
     #[test]
     fn paper_fig2() {
-        let mut deltas = vec![100i64; 16];
+        let mut deltas = vec![100i32; 16];
         deltas[4] = 7;
         deltas[5] = -3;
         deltas[6] = 2;
@@ -309,7 +298,7 @@ mod tests {
 
     #[test]
     fn window_wraps_around() {
-        let mut deltas = vec![10i64; 8];
+        let mut deltas = vec![10i32; 8];
         deltas[1] = -5; // inside the wrapped window [6, 7, 0, 1]
         let mut p = WindowMinPolicy::with_offset(4, 6);
         assert_eq!(p.select(&deltas, &bv(8)), 1);
@@ -319,7 +308,7 @@ mod tests {
     #[test]
     fn window_covers_all_bits_over_a_sweep() {
         // With ℓ | n, n/ℓ selections visit n/ℓ disjoint windows.
-        let deltas = vec![0i64; 12];
+        let deltas = vec![0i32; 12];
         let mut p = WindowMinPolicy::new(3);
         let mut offsets = Vec::new();
         for _ in 0..4 {
@@ -332,7 +321,7 @@ mod tests {
 
     #[test]
     fn window_one_is_a_plain_sweep() {
-        let deltas = vec![5i64; 4];
+        let deltas = vec![5i32; 4];
         let mut p = WindowMinPolicy::new(1);
         let picks: Vec<usize> = (0..6).map(|_| p.select(&deltas, &bv(4))).collect();
         assert_eq!(picks, vec![0, 1, 2, 3, 0, 1]);
@@ -340,7 +329,7 @@ mod tests {
 
     #[test]
     fn window_larger_than_n_acts_greedy() {
-        let mut deltas = vec![9i64; 5];
+        let mut deltas = vec![9i32; 5];
         deltas[3] = -1;
         let mut p = WindowMinPolicy::new(100);
         assert_eq!(p.select(&deltas, &bv(5)), 3);
@@ -348,21 +337,21 @@ mod tests {
 
     #[test]
     fn greedy_finds_global_min() {
-        let deltas = vec![4i64, -2, 7, -9, 0];
+        let deltas = vec![4i32, -2, 7, -9, 0];
         let mut p = GreedyPolicy;
         assert_eq!(p.select(&deltas, &bv(5)), 3);
     }
 
     #[test]
     fn greedy_ties_break_to_lowest_index() {
-        let deltas = vec![1i64, -2, -2];
+        let deltas = vec![1i32, -2, -2];
         let mut p = GreedyPolicy;
         assert_eq!(p.select(&deltas, &bv(3)), 1);
     }
 
     #[test]
     fn random_policy_is_seed_deterministic_and_in_range() {
-        let deltas = vec![0i64; 10];
+        let deltas = vec![0i32; 10];
         let mut a = RandomPolicy::new(5);
         let mut b = RandomPolicy::new(5);
         for _ in 0..50 {
@@ -374,7 +363,7 @@ mod tests {
 
     #[test]
     fn metropolis_prefers_downhill_at_low_temperature() {
-        let mut deltas = vec![1_000_000i64; 64];
+        let mut deltas = vec![1_000_000i32; 64];
         deltas[7] = -1;
         let mut p = MetropolisPolicy::new(1e-9, 1.0, 3);
         // With a tiny temperature, uphill samples are rejected, so the
@@ -392,7 +381,7 @@ mod tests {
 
     #[test]
     fn metropolis_accepts_everything_at_huge_temperature() {
-        let deltas = vec![1i64; 16];
+        let deltas = vec![1i32; 16];
         let mut p = MetropolisPolicy::new(1e12, 1.0, 4);
         // Every first sample is accepted: behaves like RandomPolicy.
         for _ in 0..50 {
@@ -402,7 +391,7 @@ mod tests {
 
     #[test]
     fn reset_rewinds_window_offset() {
-        let deltas = vec![0i64; 6];
+        let deltas = vec![0i32; 6];
         let mut p = WindowMinPolicy::new(2);
         p.select(&deltas, &bv(6));
         assert_eq!(p.offset(), 2);
@@ -412,7 +401,7 @@ mod tests {
 
     #[test]
     fn window_argmin_matches_modular_reference() {
-        fn reference(d: &[i64], a: usize, l: usize) -> usize {
+        fn reference(d: &[i32], a: usize, l: usize) -> usize {
             let n = d.len();
             let l = l.min(n);
             let mut best_i = a;
@@ -430,7 +419,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(77);
         for n in [1usize, 2, 3, 7, 16, 33] {
             for _ in 0..200 {
-                let d: Vec<i64> = (0..n).map(|_| rng.gen_range(-4i64..4)).collect();
+                let d: Vec<i32> = (0..n).map(|_| rng.gen_range(-4i32..4)).collect();
                 let a = rng.gen_range(0..n);
                 let l = rng.gen_range(1..=n + 2); // over-length clamps
                 assert_eq!(
@@ -446,21 +435,21 @@ mod tests {
     fn window_argmin_ties_break_in_scan_order() {
         // Window [3, 0, 1] with a tie between wrapped index 0 and
         // in-slice index 3: the earlier scan position (3) must win.
-        let d = vec![-7i64, 5, 5, -7];
+        let d = vec![-7i32, 5, 5, -7];
         assert_eq!(window_argmin(&d, 3, 3), 3);
         // But a strictly smaller wrapped value wins.
-        let d = vec![-9i64, 5, 5, -7];
+        let d = vec![-9i32, 5, 5, -7];
         assert_eq!(window_argmin(&d, 3, 3), 0);
     }
 
     #[test]
     fn next_window_replaces_select_exactly() {
-        let deltas = vec![3i64, -1, 4, -1, 5, 9, -2, 6];
+        let deltas = vec![3i32, -1, 4, -1, 5, 9, -2, 6];
         let mut by_select = WindowMinPolicy::with_offset(3, 5);
         let mut by_window = by_select.clone();
         for _ in 0..20 {
             let k1 = by_select.select(&deltas, &bv(8));
-            let (a, l) = SelectionPolicy::<i64>::next_window(&mut by_window, 8).unwrap();
+            let (a, l) = SelectionPolicy::next_window(&mut by_window, 8).unwrap();
             assert_eq!(window_argmin(&deltas, a, l), k1);
             assert_eq!(by_select.offset(), by_window.offset());
         }
@@ -468,40 +457,25 @@ mod tests {
 
     #[test]
     fn greedy_window_is_the_full_vector() {
-        let deltas = vec![4i64, -2, 7, -9, 0];
+        let deltas = vec![4i32, -2, 7, -9, 0];
         let mut g = GreedyPolicy;
-        let (a, l) = SelectionPolicy::<i64>::next_window(&mut g, 5).unwrap();
+        let (a, l) = SelectionPolicy::next_window(&mut g, 5).unwrap();
         assert_eq!((a, l), (0, 5));
         assert_eq!(
             window_argmin(&deltas, a, l),
-            SelectionPolicy::<i64>::select(&mut g, &deltas, &bv(5))
+            SelectionPolicy::select(&mut g, &deltas, &bv(5))
         );
     }
 
     #[test]
     fn randomized_policies_expose_no_window() {
         assert_eq!(
-            SelectionPolicy::<i64>::next_window(&mut RandomPolicy::new(1), 8),
+            SelectionPolicy::next_window(&mut RandomPolicy::new(1), 8),
             None
         );
         assert_eq!(
-            SelectionPolicy::<i64>::next_window(&mut MetropolisPolicy::new(1.0, 1.0, 2), 8),
+            SelectionPolicy::next_window(&mut MetropolisPolicy::new(1.0, 1.0, 2), 8),
             None
         );
-    }
-
-    #[test]
-    fn policies_are_width_oblivious() {
-        let wide = vec![9i64, -3, 5, 0];
-        let narrow: Vec<i32> = wide.iter().map(|&v| v as i32).collect();
-        let mut pw = WindowMinPolicy::new(3);
-        let mut pn = WindowMinPolicy::new(3);
-        for _ in 0..8 {
-            assert_eq!(
-                pw.select(&wide, &bv(4)),
-                pn.select(&narrow, &bv(4)),
-                "widths diverged"
-            );
-        }
     }
 }

@@ -61,8 +61,7 @@ const CHUNK: usize = qubo::ROW_LANE;
 /// Eq. (16) update and the window argmin.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlipKernel {
-    /// The scalar fused path (PR 1, `fused_i32`/`fused_i64`): portable
-    /// reference, and the only arm for `i64` accumulators.
+    /// The scalar fused path (`fused_i32`): the portable reference.
     Scalar,
     /// Portable lane-wise chunks on stable Rust (autovectorized).
     Lanes,
@@ -599,14 +598,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(32);
         for n in [1usize, 5, 8, 17, 64, 100] {
             let d: Vec<i32> = (0..n).map(|_| rng.gen_range(-50..50)).collect();
-            let wide: Vec<i64> = d.iter().map(|&v| i64::from(v)).collect();
             for kern in kernels() {
                 for _ in 0..40 {
                     let start = rng.gen_range(0..n);
                     let len = rng.gen_range(1..=n + 2);
                     assert_eq!(
                         window_argmin(kern, &d, start, len),
-                        crate::window_argmin(&wide, start, len),
+                        crate::window_argmin(&d, start, len),
                         "{kern:?} n={n} start={start} len={len}"
                     );
                 }

@@ -60,16 +60,23 @@ const BUCKET: usize = 1 << BUCKET_SHIFT;
 /// packed summary for the in-bucket argmin position.
 const BUCKET_SHIFT: u32 = 6;
 
-/// Packs a Δ value and its in-bucket position into one key whose `i64`
-/// order is lexicographic `(value, index mod BUCKET)` — so a plain
-/// `min` fold yields the bucket's leftmost minimum, and value ties
-/// resolve to the smaller index for free. Works for negative values
-/// because the shifted value owns the high bits and the position bits
-/// are non-negative. The shift cannot overflow: |Δ| ≤ (2n+1)·2¹⁵ and
-/// allocatable `n` keeps `|Δ| · BUCKET` far inside `i64`.
+/// Packs an `i32` Δ value and its in-bucket position into one `i64`
+/// key whose order is lexicographic `(value, index mod BUCKET)` — so a
+/// plain `min` fold yields the bucket's leftmost minimum, and value
+/// ties resolve to the smaller index for free. Works for negative
+/// values because the shifted value owns the high bits and the
+/// position bits are non-negative. The shift cannot overflow: a 32-bit
+/// value shifted by [`BUCKET_SHIFT`] stays far inside `i64`.
 #[inline]
-const fn pack(v: i64, i: usize) -> i64 {
-    (v << BUCKET_SHIFT) | (i & (BUCKET - 1)) as i64
+fn pack(v: i32, i: usize) -> i64 {
+    (i64::from(v) << BUCKET_SHIFT) | (i & (BUCKET - 1)) as i64
+}
+
+/// The Δ value of a packed key. Lossless: every key (and every dirty
+/// lower bound, which is a stale key) was packed from an `i32`.
+#[inline]
+fn unpack_value(p: i64) -> i32 {
+    (p >> BUCKET_SHIFT) as i32
 }
 
 /// Incremental state over a [`SparseQubo`]: current solution, exact
@@ -83,7 +90,7 @@ pub struct SparseDeltaTracker<'a> {
     /// as the dense tracker's scalar arm).
     sign: Vec<i8>,
     e: Energy,
-    d: Vec<i64>,
+    d: Vec<i32>,
     /// Per-bucket packed summary [`pack`]`(min Δ, argmin mod BUCKET)`:
     /// the exact leftmost minimum when clean; a lower bound (on the
     /// packed key, hence on the value) when the matching `bdirty` flag
@@ -94,7 +101,7 @@ pub struct SparseDeltaTracker<'a> {
     /// Global minimum of `d` — exact (with `gidx` its leftmost index)
     /// while `gstale` is false; a lower bound once the recorded argmin
     /// itself rose, until the next exact fold.
-    gmin: i64,
+    gmin: i32,
     /// Leftmost index attaining `gmin` (valid only while not stale).
     gidx: u32,
     /// Whether the recorded global argmin rose and `gmin` degraded to a
@@ -113,7 +120,7 @@ impl<'a> SparseDeltaTracker<'a> {
     #[must_use]
     pub fn new(q: &'a SparseQubo) -> Self {
         let n = q.n();
-        let d: Vec<i64> = (0..n).map(|i| i64::from(q.diag(i))).collect();
+        let d: Vec<i32> = (0..n).map(|i| i32::from(q.diag(i))).collect();
         let nb = n.div_ceil(BUCKET);
         let x = BitVec::zeros(n);
         let mut t = Self {
@@ -143,7 +150,7 @@ impl<'a> SparseDeltaTracker<'a> {
         t.gidx = min_i as u32;
         if min_d < 0 {
             t.best.flip(min_i);
-            t.best_e = min_d;
+            t.best_e = Energy::from(min_d);
         }
         t
     }
@@ -177,7 +184,7 @@ impl<'a> SparseDeltaTracker<'a> {
     /// The Δ vector (`deltas()[i] = Δ_i(X)`, exact).
     #[must_use]
     #[inline]
-    pub fn deltas(&self) -> &[i64] {
+    pub fn deltas(&self) -> &[i32] {
         &self.d
     }
 
@@ -221,7 +228,7 @@ impl<'a> SparseDeltaTracker<'a> {
     /// not stale it additionally equals `d[gidx]`, the exact minimum,
     /// with `gidx` leftmost.
     #[inline]
-    fn gmin_update(&mut self, i: usize, v: i64) {
+    fn gmin_update(&mut self, i: usize, v: i32) {
         if self.gstale {
             // A write strictly below the lower bound is strictly below
             // every other entry: the unique (hence leftmost) new argmin.
@@ -243,7 +250,7 @@ impl<'a> SparseDeltaTracker<'a> {
 
     /// Folds one Δ write into its bucket's packed summary in O(1).
     #[inline]
-    fn note_update(&mut self, i: usize, v: i64) {
+    fn note_update(&mut self, i: usize, v: i32) {
         let b = i / BUCKET;
         let p = pack(v, i);
         // invariant: b < nb because i < n ≤ nb·BUCKET.
@@ -287,9 +294,11 @@ impl<'a> SparseDeltaTracker<'a> {
     /// folding whole-bucket summaries (with lower-bound pruning: a
     /// summary that cannot strictly beat the running best is skipped
     /// without refreshing) and scanning boundary slices element-wise.
-    fn range_min_first(&mut self, a: usize, b: usize) -> (i64, usize) {
+    fn range_min_first(&mut self, a: usize, b: usize) -> (i32, usize) {
         debug_assert!(a < b && b <= self.d.len());
-        let mut best_v = i64::MAX;
+        // No Δ reaches i32::MAX (the qubo crate's compile-time bound), so
+        // the first candidate always replaces this seed.
+        let mut best_v = i32::MAX;
         let mut best_i = a;
         let mut lo = a;
         while lo < b {
@@ -304,15 +313,15 @@ impl<'a> SparseDeltaTracker<'a> {
                 // arithmetic shift (a lower bound on the key is a lower
                 // bound on the value, so pruning on it stays sound).
                 // invariant: bb = lo / BUCKET < nb since lo < b ≤ n.
-                if (self.bmin[bb] >> BUCKET_SHIFT) < best_v {
+                if unpack_value(self.bmin[bb]) < best_v {
                     if self.bdirty[bb] {
                         self.refresh_bucket(bb);
                     }
                     // invariant: bb < nb as above; refresh left the
                     // summary exact.
                     let p = self.bmin[bb];
-                    if (p >> BUCKET_SHIFT) < best_v {
-                        best_v = p >> BUCKET_SHIFT;
+                    if unpack_value(p) < best_v {
+                        best_v = unpack_value(p);
                         best_i = lo + (p & (BUCKET as i64 - 1)) as usize;
                     }
                 }
@@ -384,8 +393,8 @@ impl<'a> SparseDeltaTracker<'a> {
         let q = self.q;
         // invariant: k < n asserted above; d and sign have length n.
         let d_k_old = self.d[k];
-        let two_pk = i64::from(self.sign[k]) * 2;
-        let e_new = self.e + d_k_old;
+        let two_pk = i32::from(self.sign[k]) * 2;
+        let e_new = self.e + Energy::from(d_k_old);
         // Hot state lives in locals for the duration of the neighbour
         // loop: folding through `self` would spill the argmin registers
         // to memory on every iteration, and the split field borrows
@@ -404,7 +413,9 @@ impl<'a> SparseDeltaTracker<'a> {
             for (i, w) in q.row(k) {
                 // invariant: CSR column indices are < n by construction
                 // (SparseQubo validates every triplet index).
-                let v = d[i] + i64::from(w) * i64::from(sign[i]) * two_pk;
+                // The i32 sum is the next state's Δ_i, inside i32 by the
+                // qubo crate's compile-time bound.
+                let v = d[i] + i32::from(w) * i32::from(sign[i]) * two_pk;
                 d[i] = v;
                 if v < gmin {
                     // Below the lower bound means below every entry:
@@ -472,17 +483,17 @@ impl<'a> SparseDeltaTracker<'a> {
         // `e_new + min Δ` (gmin ≤ min Δ always), so the dense condition
         // evaluates identically without a scan. Only a *stale* bound
         // that beats the best pays for the exact bucket-pruned fold.
-        if e_new + self.gmin < self.best_e {
+        if e_new + Energy::from(self.gmin) < self.best_e {
             if self.gstale {
                 let (min_d, min_i) = self.range_min_first(0, n);
                 self.gmin = min_d;
                 self.gidx = min_i as u32;
                 self.gstale = false;
             }
-            if e_new + self.gmin < self.best_e {
+            if e_new + Energy::from(self.gmin) < self.best_e {
                 self.best.copy_from(&self.x);
                 self.best.flip(self.gidx as usize);
-                self.best_e = e_new + self.gmin;
+                self.best_e = e_new + Energy::from(self.gmin);
             }
         }
     }
@@ -505,11 +516,11 @@ impl<'a> SparseDeltaTracker<'a> {
             let expect_sign: i8 = if self.x.get(i) { -1 } else { 1 };
             let expect = i64::from(expect_sign) * (2 * s + i64::from(self.q.diag(i)));
             // invariant: i < n = d.len() = sign.len() by the loop bound.
-            assert_eq!(self.d[i], expect, "delta {i} drifted");
+            assert_eq!(i64::from(self.d[i]), expect, "delta {i} drifted");
             assert_eq!(self.sign[i], expect_sign, "sign {i} drifted");
         }
         assert_eq!(self.best_e, self.q.energy(&self.best), "best drifted");
-        let mut global_min = i64::MAX;
+        let mut global_min = i32::MAX;
         let mut global_i = 0usize;
         for b in 0..self.bmin.len() {
             let lo = b * BUCKET;
@@ -519,7 +530,7 @@ impl<'a> SparseDeltaTracker<'a> {
                 // invariant: lo ≤ i < hi ≤ n by the loop bounds.
                 min_p = min_p.min(pack(self.d[i], i));
             }
-            let min_v = min_p >> BUCKET_SHIFT;
+            let min_v = unpack_value(min_p);
             let min_i = lo + (min_p & (BUCKET as i64 - 1)) as usize;
             if min_v < global_min {
                 global_min = min_v;
@@ -546,8 +557,6 @@ impl<'a> SparseDeltaTracker<'a> {
 }
 
 impl SearchTracker for SparseDeltaTracker<'_> {
-    type Acc = i64;
-
     fn n(&self) -> usize {
         SparseDeltaTracker::n(self)
     }
@@ -560,7 +569,7 @@ impl SearchTracker for SparseDeltaTracker<'_> {
         SparseDeltaTracker::energy(self)
     }
 
-    fn deltas(&self) -> &[i64] {
+    fn deltas(&self) -> &[i32] {
         SparseDeltaTracker::deltas(self)
     }
 
@@ -842,5 +851,29 @@ mod tests {
             // Interleave selections so lazy refreshes actually run.
             let _ = t.select_in_window(rng.gen_range(0..64), 16);
         }
+    }
+
+    #[test]
+    fn star_at_max_bits_reaches_the_i32_bound() {
+        // The worst case of the compile-time bound in the qubo crate: a
+        // hub whose diagonal and every coupler are i16::MIN, at the
+        // largest supported n. With all leaves set, Δ_hub is
+        // i16::MIN·(2·(n − 1) + 1) = −32 768 · 65 535; flipping the hub
+        // negates it. Debug builds trap any i32 overflow on the way.
+        const EXTREME: i64 = 32_768 * 65_535;
+        let n = qubo::MAX_BITS;
+        let triplets: Vec<(usize, usize, i16)> = std::iter::once((0, 0, i16::MIN))
+            .chain((1..n).map(|j| (0, j, i16::MIN)))
+            .collect();
+        let s = SparseQubo::from_triplets(n, &triplets).unwrap();
+        let mut t = SparseDeltaTracker::new(&s);
+        for j in 1..n {
+            t.flip(j);
+        }
+        assert_eq!(i64::from(t.deltas()[0]), -EXTREME);
+        t.verify();
+        t.flip(0);
+        assert_eq!(i64::from(t.deltas()[0]), EXTREME);
+        t.verify();
     }
 }

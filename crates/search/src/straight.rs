@@ -32,9 +32,7 @@ const DIFF_WORDS: usize = MAX_BITS / 64;
 /// equal to the popcount Hamming distance (§3.1: a straight search
 /// costs exactly `hamming(C, T)` flips).
 ///
-/// Generic over [`SearchTracker`] (and thereby over both storage arms
-/// and either Δ accumulator width); the walk is width-oblivious because
-/// only comparisons of in-bound Δ values are involved.
+/// Generic over [`SearchTracker`], and thereby over both storage arms.
 ///
 /// # Panics
 /// Panics if `target.len()` differs from the tracker's problem size.
@@ -52,7 +50,7 @@ pub fn straight_search<T: SearchTracker + ?Sized>(tracker: &mut T, target: &BitV
     loop {
         // Greedily select the differing bit with minimum Δ: walk the
         // packed diff words via trailing_zeros (one step per set bit).
-        let mut best: Option<(usize, T::Acc)> = None;
+        let mut best: Option<(usize, i32)> = None;
         // invariant: nw <= DIFF_WORDS, returned by diff_words_into.
         for (wi, &word) in diff[..nw].iter().enumerate() {
             let mut w = word;

@@ -1,22 +1,28 @@
-//! Graceful-shutdown signal hooks for the server.
+//! Graceful-shutdown signal hooks, shared by the server and `abs-cli`.
 //!
-//! SIGINT/SIGTERM begin a *drain*, not an exit: the accept loop stops
-//! taking connections, the solver worker checkpoints the in-flight job
-//! to the spool, and the store's non-terminal jobs are written to the
-//! drain manifest so `--resume-jobs` can pick them back up. As in the
-//! CLI, the handler body is one atomic store — the only
-//! async-signal-safe thing it could do — and the accept loop polls the
-//! flag between connections.
+//! The handler body is one atomic store — the only async-signal-safe
+//! thing it could do — and two loops read the flag:
+//!
+//! * the server's accept loop, between connections. SIGINT/SIGTERM
+//!   begin a *drain*, not an exit: the loop stops taking connections,
+//!   the solver worker checkpoints the in-flight job to the spool, and
+//!   the store's non-terminal jobs are written to the drain manifest so
+//!   `--resume-jobs` can pick them back up;
+//! * the `abs-cli` solve poll loop, once per round: it checkpoints (when
+//!   `--checkpoint-out` is set), stops the session and reports the
+//!   partial result.
 //!
 //! There is no libc dependency in this workspace, so the Unix `signal`
 //! entry point is declared directly; this module is the crate's single
 //! `unsafe` island (the crate root holds `deny(unsafe_code)`). On
-//! non-Unix targets installation is a no-op and the server is only
-//! stoppable by killing the process.
+//! non-Unix targets installation is a no-op: the server is then only
+//! stoppable by killing the process, and CLI solves are not
+//! signal-interruptible.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Set by the handler on SIGINT/SIGTERM, read by the accept loop.
+/// Set by the handler on SIGINT/SIGTERM, read by the server's accept
+/// loop and the CLI's poll loop.
 static INTERRUPTED: AtomicBool = AtomicBool::new(false);
 
 /// `true` once SIGINT or SIGTERM has been received.

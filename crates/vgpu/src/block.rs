@@ -5,9 +5,8 @@ use crate::fault::InjectedPanic;
 use abs_telemetry::Event;
 use qubo::{Qubo, SparseQubo};
 use qubo_search::{
-    local_search, straight_search, DeltaAcc, DeltaTracker, FlipKernel, GreedyPolicy,
-    MetropolisPolicy, RandomPolicy, SearchTracker, SelectionPolicy, SparseDeltaTracker,
-    WindowMinPolicy,
+    local_search, straight_search, DeltaTracker, FlipKernel, GreedyPolicy, MetropolisPolicy,
+    RandomPolicy, SearchTracker, SelectionPolicy, SparseDeltaTracker, WindowMinPolicy,
 };
 
 /// How window lengths (the temperature analogue of the selection policy,
@@ -95,35 +94,34 @@ impl RuntimePolicy {
     }
 }
 
-/// Enum dispatch of the policy trait, generic over the Δ accumulator
-/// width so one block type drives both i32 and i64 trackers. The window
-/// and greedy variants expose their windows, letting [`local_search`]
-/// run the fused flip+select kernel.
-impl<A: DeltaAcc> SelectionPolicy<A> for RuntimePolicy {
-    fn select(&mut self, deltas: &[A], x: &qubo::BitVec) -> usize {
+/// Enum dispatch of the policy trait. The window and greedy variants
+/// expose their windows, letting [`local_search`] run the fused
+/// flip+select kernel.
+impl SelectionPolicy for RuntimePolicy {
+    fn select(&mut self, deltas: &[i32], x: &qubo::BitVec) -> usize {
         match self {
             Self::Window(p) => p.select(deltas, x),
-            Self::Greedy(p) => SelectionPolicy::<A>::select(p, deltas, x),
-            Self::Random(p) => SelectionPolicy::<A>::select(p, deltas, x),
-            Self::Metropolis(p) => SelectionPolicy::<A>::select(p, deltas, x),
+            Self::Greedy(p) => p.select(deltas, x),
+            Self::Random(p) => p.select(deltas, x),
+            Self::Metropolis(p) => p.select(deltas, x),
         }
     }
 
     fn next_window(&mut self, n: usize) -> Option<(usize, usize)> {
         match self {
-            Self::Window(p) => SelectionPolicy::<A>::next_window(p, n),
-            Self::Greedy(p) => SelectionPolicy::<A>::next_window(p, n),
-            Self::Random(p) => SelectionPolicy::<A>::next_window(p, n),
-            Self::Metropolis(p) => SelectionPolicy::<A>::next_window(p, n),
+            Self::Window(p) => p.next_window(n),
+            Self::Greedy(p) => p.next_window(n),
+            Self::Random(p) => p.next_window(n),
+            Self::Metropolis(p) => p.next_window(n),
         }
     }
 
     fn reset(&mut self) {
         match self {
-            Self::Window(p) => SelectionPolicy::<A>::reset(p),
-            Self::Greedy(p) => SelectionPolicy::<A>::reset(p),
-            Self::Random(p) => SelectionPolicy::<A>::reset(p),
-            Self::Metropolis(p) => SelectionPolicy::<A>::reset(p),
+            Self::Window(p) => p.reset(),
+            Self::Greedy(p) => p.reset(),
+            Self::Random(p) => p.reset(),
+            Self::Metropolis(p) => p.reset(),
         }
     }
 }
@@ -155,7 +153,7 @@ pub struct BlockConfig {
     pub policy: PolicyKind,
     /// Flip kernel this block's tracker runs. Devices detect once per
     /// launch ([`FlipKernel::detect`]) and hand every block the same
-    /// choice; wide (`i64`) trackers ignore it and run scalar.
+    /// choice; CSR blocks ignore it and run scalar.
     pub kernel: FlipKernel,
 }
 
@@ -175,12 +173,10 @@ pub struct BlockConfig {
 /// block skips the straight search and keeps local-searching from where
 /// it stands — it never blocks and never synchronizes with other blocks.
 ///
-/// The tracker type `T` carries both storage arms: devices build dense
-/// [`BlockRunner::with_width`] blocks (with `A = i32` whenever the
-/// problem's Δ bound fits, halving the flip kernel's memory traffic) or
-/// CSR [`BlockRunner::sparse`] blocks when the density dispatch picks
-/// the O(degree) tier. Everything past construction is generic over
-/// [`SearchTracker`].
+/// The tracker type `T` carries both storage arms: devices build
+/// [`BlockRunner::dense`] blocks, or CSR [`BlockRunner::sparse`] blocks
+/// when the density dispatch picks the O(degree) tier. Everything past
+/// construction is generic over [`SearchTracker`].
 pub struct BlockRunner<T: SearchTracker> {
     tracker: T,
     policy: RuntimePolicy,
@@ -194,25 +190,12 @@ pub struct BlockRunner<T: SearchTracker> {
     switches: u32,
 }
 
-impl<'q> BlockRunner<DeltaTracker<'q, qubo::Energy>> {
-    /// Creates a default-width (`i64`) dense block at the canonical zero
-    /// start.
+impl<'q> BlockRunner<DeltaTracker<'q>> {
+    /// Creates a dense block at the canonical zero start, running
+    /// `config.kernel`.
     #[must_use]
-    pub fn new(qubo: &'q Qubo, config: BlockConfig) -> Self {
-        Self::with_width(qubo, config)
-    }
-}
-
-impl<'q, A: DeltaAcc> BlockRunner<DeltaTracker<'q, A>> {
-    /// Creates a dense block with Δ accumulator width `A` at the
-    /// canonical zero start.
-    ///
-    /// # Panics
-    /// Panics if the problem's Δ bound does not fit width `A`.
-    #[must_use]
-    pub fn with_width(qubo: &'q Qubo, config: BlockConfig) -> Self {
-        let tracker = DeltaTracker::with_kernel(qubo, config.kernel);
-        Self::from_tracker(tracker, config)
+    pub fn dense(qubo: &'q Qubo, config: BlockConfig) -> Self {
+        Self::from_tracker(DeltaTracker::with_kernel(qubo, config.kernel), config)
     }
 }
 
@@ -380,7 +363,7 @@ mod tests {
         let mem = GlobalMem::new();
         let mut rng = StdRng::seed_from_u64(2);
         mem.push_target(BitVec::random(48, &mut rng));
-        let mut b = BlockRunner::new(&q, cfg(8, 100));
+        let mut b = BlockRunner::dense(&q, cfg(8, 100));
         let flips = b.bulk_iteration(&mem);
         assert!(flips >= 100, "straight + local flips");
         let rec = &mem.drain_results()[0];
@@ -393,7 +376,7 @@ mod tests {
     fn iteration_without_target_still_searches() {
         let q = random_qubo(32, 3);
         let mem = GlobalMem::new();
-        let mut b = BlockRunner::new(&q, cfg(4, 50));
+        let mut b = BlockRunner::dense(&q, cfg(4, 50));
         let flips = b.bulk_iteration(&mem);
         assert_eq!(flips, 50);
         assert_eq!(mem.counter(), 1);
@@ -406,7 +389,7 @@ mod tests {
         let q = random_qubo(40, 4);
         let mem = GlobalMem::new();
         let mut rng = StdRng::seed_from_u64(5);
-        let mut b = BlockRunner::new(&q, cfg(8, 60));
+        let mut b = BlockRunner::dense(&q, cfg(8, 60));
         for _ in 0..4 {
             mem.push_target(BitVec::random(40, &mut rng));
             b.bulk_iteration(&mem);
@@ -424,7 +407,7 @@ mod tests {
         let q = random_qubo(24, 6);
         let mem = GlobalMem::new();
         let mut rng = StdRng::seed_from_u64(7);
-        let mut b = BlockRunner::new(&q, cfg(3, 40));
+        let mut b = BlockRunner::dense(&q, cfg(3, 40));
         for _ in 0..6 {
             mem.push_target(BitVec::random(24, &mut rng));
             b.bulk_iteration(&mem);
@@ -450,7 +433,7 @@ mod tests {
             let mem = GlobalMem::new();
             let mut c = cfg(8, 80);
             c.policy = kind.clone();
-            let mut b = BlockRunner::new(&q, c);
+            let mut b = BlockRunner::dense(&q, c);
             mem.push_target(BitVec::random(40, &mut rng));
             b.bulk_iteration(&mem);
             b.tracker().verify();
@@ -464,7 +447,7 @@ mod tests {
         let q = random_qubo(16, 13);
         let mut c = cfg(4, 10);
         c.policy = PolicyKind::Greedy;
-        let b = BlockRunner::new(&q, c);
+        let b = BlockRunner::dense(&q, c);
         assert_eq!(b.window(), None);
     }
 
@@ -475,7 +458,7 @@ mod tests {
         let mut c = cfg(4, 4);
         c.policy = PolicyKind::Greedy;
         c.adaptive = Some(AdaptiveConfig { patience: 1 });
-        let mut b = BlockRunner::new(&q, c);
+        let mut b = BlockRunner::dense(&q, c);
         for _ in 0..6 {
             b.bulk_iteration(&mem);
         }
@@ -491,7 +474,7 @@ mod tests {
             let mut c = cfg(4, 50);
             c.policy = PolicyKind::Random;
             c.offset = offset;
-            BlockRunner::new(&q, c)
+            BlockRunner::dense(&q, c)
         };
         let mut b1 = mk(0);
         let mut b2 = mk(1);
@@ -521,7 +504,7 @@ mod tests {
         let mem = GlobalMem::new();
         let mut c = cfg(2, 10);
         c.adaptive = Some(AdaptiveConfig { patience: 2 });
-        let mut b = BlockRunner::new(&q, c);
+        let mut b = BlockRunner::dense(&q, c);
         assert_eq!(b.window(), Some(2));
         b.bulk_iteration(&mem); // "improves" (first best: MAX → 0)
         b.bulk_iteration(&mem); // stale 1
@@ -545,7 +528,7 @@ mod tests {
         let mem = GlobalMem::new();
         let mut c = cfg(8, 4); // already at window = n
         c.adaptive = Some(AdaptiveConfig { patience: 1 });
-        let mut b = BlockRunner::new(&q, c);
+        let mut b = BlockRunner::dense(&q, c);
         b.bulk_iteration(&mem); // improvement MAX → 0
         b.bulk_iteration(&mem); // stale → switch
         assert_eq!(b.window(), Some(1));
@@ -555,7 +538,7 @@ mod tests {
     fn non_adaptive_block_keeps_its_window() {
         let q = Qubo::zero(8).unwrap();
         let mem = GlobalMem::new();
-        let mut b = BlockRunner::new(&q, cfg(4, 4));
+        let mut b = BlockRunner::dense(&q, cfg(4, 4));
         for _ in 0..10 {
             b.bulk_iteration(&mem);
         }
@@ -574,7 +557,7 @@ mod tests {
         c.adaptive = Some(AdaptiveConfig {
             patience: 1_000_000,
         });
-        let mut b = BlockRunner::new(&q, c);
+        let mut b = BlockRunner::dense(&q, c);
         for _ in 0..5 {
             mem.push_target(BitVec::random(32, &mut rng));
             b.bulk_iteration(&mem);
@@ -591,7 +574,7 @@ mod tests {
         let q = random_qubo(24, 15);
         let mem = GlobalMem::new();
         let mut rng = StdRng::seed_from_u64(16);
-        let mut b = BlockRunner::new(&q, cfg(6, 75));
+        let mut b = BlockRunner::dense(&q, cfg(6, 75));
         mem.add_units(1);
         for _ in 0..3 {
             mem.push_target(BitVec::random(24, &mut rng));
@@ -602,16 +585,20 @@ mod tests {
     }
 
     #[test]
-    fn narrow_block_matches_wide_block_exactly() {
-        // Same config, same targets: the i32 block must follow the i64
-        // block bit-for-bit (no behavioral change from narrowing).
+    fn scalar_block_matches_dispatched_block_exactly() {
+        // Same config, same targets: the block running the detected
+        // lane arm must follow the scalar-arm block bit-for-bit.
         let q = random_qubo(32, 17);
         let mut rng = StdRng::seed_from_u64(18);
         let targets: Vec<BitVec> = (0..4).map(|_| BitVec::random(32, &mut rng)).collect();
         let mem_w = GlobalMem::new();
         let mem_n = GlobalMem::new();
-        let mut bw = BlockRunner::new(&q, cfg(8, 90));
-        let mut bn = BlockRunner::<DeltaTracker<'_, i32>>::with_width(&q, cfg(8, 90));
+        let scalar = BlockConfig {
+            kernel: FlipKernel::Scalar,
+            ..cfg(8, 90)
+        };
+        let mut bw = BlockRunner::dense(&q, scalar);
+        let mut bn = BlockRunner::dense(&q, cfg(8, 90));
         for t in &targets {
             mem_w.push_target(t.clone());
             mem_n.push_target(t.clone());
@@ -634,7 +621,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(20);
         let mem_d = GlobalMem::new();
         let mem_s = GlobalMem::new();
-        let mut bd = BlockRunner::new(&q, cfg(8, 120));
+        let mut bd = BlockRunner::dense(&q, cfg(8, 120));
         let mut bs = BlockRunner::sparse(&s, cfg(8, 120));
         for _ in 0..4 {
             let t = BitVec::random(48, &mut rng);

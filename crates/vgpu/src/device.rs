@@ -19,7 +19,7 @@ use crate::occupancy::{full_occupancy_configs, occupancy, OccupancyError};
 use crate::spec::DeviceSpec;
 use abs_telemetry::Event;
 use qubo::{BitVec, Energy, MatrixStorage, Qubo, SparseQubo};
-use qubo_search::{DeltaTracker, FlipKernel, SearchTracker};
+use qubo_search::{FlipKernel, SearchTracker};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -272,40 +272,25 @@ impl Device {
     /// The storage arm arrives already picked ([`DeviceMatrix::from_problem`]
     /// runs once per machine): on the sparse arm every block runs the
     /// O(degree) flip tier over the shared CSR matrix. On the dense arm
-    /// the Δ accumulator width is then picked: blocks use narrow `i32`
-    /// accumulators whenever the problem's Δ bound fits (always true
-    /// for i16 weights at the supported sizes), falling back to `i64`
-    /// otherwise, and the flip kernel is detected once per run
-    /// ([`FlipKernel::detect`]) and shared by every block. Both choices
-    /// are published in global memory
-    /// ([`GlobalMem::matrix_storage_name`],
+    /// the flip kernel is detected once per run ([`FlipKernel::detect`])
+    /// and shared by every block. Both choices are published in global
+    /// memory ([`GlobalMem::matrix_storage_name`],
     /// [`GlobalMem::flip_kernel_name`]) for host telemetry. The flip
-    /// trajectories are identical for every storage/width/kernel
-    /// combination.
+    /// trajectories are identical for every storage/kernel combination.
     pub fn run(&self, matrix: &DeviceMatrix) {
         self.mem.set_matrix_storage(matrix.storage());
         match matrix {
             DeviceMatrix::Sparse(sq) => {
-                // The CSR arm is scalar i64-only (its hot loop is an
+                // The CSR arm is scalar-only (its hot loop is an
                 // irregular gather, not a lane-parallel row stream):
                 // record the truth in the kernel slot too.
                 self.mem.set_flip_kernel(FlipKernel::Scalar);
                 self.run_blocks(sq.n(), FlipKernel::Scalar, |c| BlockRunner::sparse(sq, c));
             }
             DeviceMatrix::Dense(qubo) => {
-                if DeltaTracker::<i32>::fits(qubo) {
-                    let kernel = FlipKernel::detect();
-                    self.mem.set_flip_kernel(kernel);
-                    self.run_blocks(qubo.n(), kernel, |c| {
-                        BlockRunner::<DeltaTracker<'_, i32>>::with_width(qubo, c)
-                    });
-                } else {
-                    // Wide accumulators have no SIMD arm: record the truth.
-                    self.mem.set_flip_kernel(FlipKernel::Scalar);
-                    self.run_blocks(qubo.n(), FlipKernel::Scalar, |c| {
-                        BlockRunner::<DeltaTracker<'_, i64>>::with_width(qubo, c)
-                    });
-                }
+                let kernel = FlipKernel::detect();
+                self.mem.set_flip_kernel(kernel);
+                self.run_blocks(qubo.n(), kernel, |c| BlockRunner::dense(qubo, c));
             }
         }
         if !self.mem.stopped() {

@@ -1,16 +1,17 @@
 //! Property-based equivalence tests for the fused flip kernel: the fused
-//! single-pass path (`flip_select`, narrow accumulators, two-slice window
+//! single-pass path (`flip_select`, i32 accumulators, two-slice window
 //! scan) must be bit-for-bit indistinguishable from the separate
 //! select-then-flip formulation it replaced.
 
 use proptest::prelude::*;
 use qubo::{BitVec, Qubo};
-use qubo_search::{local_search, window_argmin, DeltaTracker, SelectionPolicy, WindowMinPolicy};
+use qubo_search::{
+    local_search, window_argmin, DeltaTracker, FlipKernel, SelectionPolicy, WindowMinPolicy,
+};
 
 /// Strategy: a small random symmetric QUBO with weights spanning the full
-/// i16 range, so Δ values exercise the upper region the narrow
-/// accumulator must still hold (`delta_bound ≤ 2·n·32767 + 32767`,
-/// within i32 for every supported n).
+/// i16 range, so Δ values exercise the upper region the i32 accumulators
+/// must hold (`|Δ| ≤ 32768·(2n − 1)`, within i32 for every supported n).
 fn arb_qubo(max_n: usize) -> impl Strategy<Value = Qubo> {
     (2..=max_n).prop_flat_map(|n| {
         proptest::collection::vec(i16::MIN..=i16::MAX, n * (n + 1) / 2).prop_map(move |tri| {
@@ -89,38 +90,43 @@ proptest! {
         tf.verify();
     }
 
-    /// Narrow (i32) and wide (i64) accumulators produce identical walks,
-    /// deltas, and best records — including on full-range ±32767 weights
-    /// where Δ values sit near the top of the narrowing bound.
+    /// The narrow (i32) tracker agrees with the wide (i64) reference,
+    /// `Qubo::delta` and `Qubo::energy`, at every step of a walk —
+    /// including on full-range weights where Δ values sit near the top
+    /// of the i32 bound — and the scalar and dispatched arms walk
+    /// identically.
     #[test]
     fn narrow_and_wide_accumulators_agree(
         q in arb_qubo(20),
         window in 1usize..16,
         steps in 1usize..150,
     ) {
-        // i16 weights at these sizes always fit i32 accumulators.
-        prop_assert!(DeltaTracker::<i32>::fits(&q));
-        let mut wide = DeltaTracker::new(&q);
-        let mut narrow = DeltaTracker::<i32>::with_width(&q);
-        let mut pw = WindowMinPolicy::new(window);
-        let mut pn = WindowMinPolicy::new(window);
-        local_search(&mut wide, &mut pw, steps);
-        local_search(&mut narrow, &mut pn, steps);
-        prop_assert_eq!(wide.x(), narrow.x());
-        prop_assert_eq!(wide.energy(), narrow.energy());
-        prop_assert_eq!(wide.best().0, narrow.best().0);
-        prop_assert_eq!(wide.best().1, narrow.best().1);
-        let widened: Vec<i64> = narrow.deltas().iter().map(|&v| i64::from(v)).collect();
-        prop_assert_eq!(wide.deltas(), &widened[..]);
-        narrow.verify();
-        wide.verify();
+        let n = q.n();
+        let mut scalar = DeltaTracker::with_kernel(&q, FlipKernel::Scalar);
+        let mut lanes = DeltaTracker::new(&q);
+        let mut ps = WindowMinPolicy::new(window);
+        let mut pl = WindowMinPolicy::new(window);
+        for _ in 0..steps {
+            local_search(&mut scalar, &mut ps, 1);
+            local_search(&mut lanes, &mut pl, 1);
+            prop_assert_eq!(scalar.x(), lanes.x());
+            prop_assert_eq!(scalar.deltas(), lanes.deltas());
+            prop_assert_eq!(scalar.best(), lanes.best());
+            let x = lanes.x();
+            prop_assert_eq!(lanes.energy(), q.energy(x));
+            for i in 0..n {
+                prop_assert_eq!(i64::from(lanes.deltas()[i]), q.delta(x, i));
+            }
+            let (bx, be) = lanes.best();
+            prop_assert_eq!(be, q.energy(bx));
+        }
     }
 
     /// The two-slice window scan equals the per-element `% n` modular
     /// scan, including first-wins tie-breaks, for arbitrary windows.
     #[test]
     fn two_slice_window_scan_matches_modular_scan(
-        deltas in proptest::collection::vec(-50i64..=50, 1..40),
+        deltas in proptest::collection::vec(-50i32..=50, 1..40),
         start in 0usize..40,
         len in 1usize..50,
     ) {

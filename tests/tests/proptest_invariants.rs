@@ -63,7 +63,7 @@ proptest! {
         }
         prop_assert_eq!(t.energy(), q.energy(t.x()));
         for i in 0..n {
-            prop_assert_eq!(t.deltas()[i], q.delta(t.x(), i));
+            prop_assert_eq!(i64::from(t.deltas()[i]), q.delta(t.x(), i));
         }
     }
 

@@ -61,9 +61,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let n = q.n();
-        let mut trackers: Vec<DeltaTracker<'_, i32>> = arms()
+        let mut trackers: Vec<DeltaTracker<'_>> = arms()
             .into_iter()
-            .map(|k| DeltaTracker::<i32>::with_kernel(&q, k))
+            .map(|k| DeltaTracker::with_kernel(&q, k))
             .collect();
         let mut k = (seed as usize) % n;
         let mut s = seed;
@@ -103,7 +103,7 @@ proptest! {
     ) {
         let n = q.n();
         for kernel in arms() {
-            let mut t = DeltaTracker::<i32>::with_kernel(&q, kernel);
+            let mut t = DeltaTracker::with_kernel(&q, kernel);
             let mut s = seed;
             for _ in 0..32 {
                 s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -117,8 +117,9 @@ proptest! {
     }
 
     /// Tail handling around the chunk width: for `n` spanning one full
-    /// 8-lane chunk ±2, all arms agree with the wide scalar reference
-    /// (the masked tail bits and padded sentinel entries must be inert).
+    /// 8-lane chunk ±2, every arm agrees with the scalar arm and with the
+    /// `Qubo::delta` / `Qubo::energy` reference at every step (the masked
+    /// tail bits and padded sentinel entries must be inert).
     #[test]
     fn non_lane_multiple_sizes_keep_arms_identical(
         n in 6usize..=10,
@@ -132,33 +133,40 @@ proptest! {
                 q.set(i, j, it.next().expect("cycled"));
             }
         }
-        let mut wide = DeltaTracker::<i64>::with_width(&q);
-        let mut narrow: Vec<DeltaTracker<'_, i32>> = arms()
+        let mut trackers: Vec<DeltaTracker<'_>> = arms()
             .into_iter()
-            .map(|k| DeltaTracker::<i32>::with_kernel(&q, k))
+            .map(|k| DeltaTracker::with_kernel(&q, k))
             .collect();
         let mut s = seed;
         for _ in 0..40 {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
             let k = (s >> 33) as usize % n;
-            wide.flip(k);
-            for t in &mut narrow {
+            for t in &mut trackers {
                 t.flip(k);
-                prop_assert_eq!(t.energy(), wide.energy());
-                let widened: Vec<i64> =
-                    t.deltas().iter().map(|&v| i64::from(v)).collect();
-                prop_assert_eq!(&widened[..], wide.deltas());
+            }
+            let (scalar, rest) = trackers.split_first().expect("scalar arm");
+            let x = scalar.x();
+            prop_assert_eq!(scalar.energy(), q.energy(x));
+            for i in 0..n {
+                prop_assert_eq!(i64::from(scalar.deltas()[i]), q.delta(x, i));
+            }
+            for t in rest {
+                prop_assert_eq!(t.x(), x);
+                prop_assert_eq!(t.energy(), scalar.energy());
+                prop_assert_eq!(t.deltas(), scalar.deltas());
             }
         }
     }
 }
 
-/// The `delta_bound` i32 boundary: a dense max-magnitude problem drives
-/// every Δ to the extreme of the construction-checked bound; the ±2W
-/// branchless increments must stay exact there in every arm (no
-/// intermediate wrap in `(w2 ^ m) - m`).
+/// Toward the i32 Δ bound: a dense max-magnitude problem drives every Δ
+/// to the extreme its row allows; the ±2W branchless increments must
+/// stay exact there in every arm (no intermediate wrap in
+/// `(w2 ^ m) - m`), against the scalar arm and the `Qubo::delta` /
+/// `Qubo::energy` reference at every step. (The bound itself, at
+/// `n = MAX_BITS`, is reached by the CSR tracker's star-graph test.)
 #[test]
-fn extreme_weights_at_the_delta_bound_stay_exact() {
+fn extreme_weights_at_the_i32_bound_stay_exact() {
     for n in [8usize, 31, 33] {
         let mut q = Qubo::zero(n).expect("size");
         for i in 0..n {
@@ -168,27 +176,34 @@ fn extreme_weights_at_the_delta_bound_stay_exact() {
                 q.set(i, j, w);
             }
         }
-        assert!(i64::from(i32::MAX) >= q.delta_bound());
-        assert!(DeltaTracker::<i32>::fits(&q));
-        let mut wide = DeltaTracker::<i64>::with_width(&q);
-        let mut narrow: Vec<DeltaTracker<'_, i32>> = arms()
+        let mut trackers: Vec<DeltaTracker<'_>> = arms()
             .into_iter()
-            .map(|k| DeltaTracker::<i32>::with_kernel(&q, k))
+            .map(|k| DeltaTracker::with_kernel(&q, k))
             .collect();
         // All-ones then back: every coupling contributes at full weight.
-        for pass in 0..2 {
+        for _pass in 0..2 {
             for k in 0..n {
-                let _ = pass;
-                wide.flip(k);
-                for t in &mut narrow {
+                for t in &mut trackers {
                     t.flip(k);
-                    assert_eq!(t.energy(), wide.energy());
-                    let widened: Vec<i64> = t.deltas().iter().map(|&v| i64::from(v)).collect();
-                    assert_eq!(&widened[..], wide.deltas());
+                }
+                let (scalar, rest) = trackers.split_first().expect("scalar arm");
+                let x = scalar.x();
+                assert_eq!(scalar.energy(), q.energy(x));
+                for i in 0..n {
+                    assert_eq!(
+                        i64::from(scalar.deltas()[i]),
+                        q.delta(x, i),
+                        "n={n} k={k} i={i}"
+                    );
+                }
+                for t in rest {
+                    assert_eq!(t.x(), x);
+                    assert_eq!(t.energy(), scalar.energy());
+                    assert_eq!(t.deltas(), scalar.deltas());
                 }
             }
         }
-        for t in &narrow {
+        for t in &trackers {
             t.verify();
         }
     }

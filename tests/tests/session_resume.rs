@@ -1,28 +1,12 @@
 //! End-to-end crash/resume determinism: on a small instance whose true
-//! optimum is known by brute force, a straight solve-to-completion and a
-//! checkpoint-then-resume solve must *both* land on that optimum, with
-//! exact audited energies, monotone improvement histories, and exact
-//! cumulative accounting across the process-boundary simulation.
+//! optimum is known by exhaustive enumeration (`qubo_baselines::exact`),
+//! a straight solve-to-completion and a checkpoint-then-resume solve
+//! must *both* land on that optimum, with exact audited energies,
+//! monotone improvement histories, and exact cumulative accounting
+//! across the process-boundary simulation.
 
 use abs::{AbsConfig, AbsSession, SessionStatus, StopCondition};
-use qubo::{BitVec, Qubo};
 use std::time::Duration;
-
-/// Exhaustive minimum over all 2^n assignments (n ≤ 20 or so).
-fn brute_force_optimum(q: &Qubo) -> i64 {
-    let n = q.n();
-    let mut best = i64::MAX;
-    for mask in 0u64..(1 << n) {
-        let mut x = BitVec::zeros(n);
-        for i in 0..n {
-            if (mask >> i) & 1 == 1 {
-                x.set(i, true);
-            }
-        }
-        best = best.min(q.energy(&x));
-    }
-    best
-}
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("abs-resume-{}-{tag}", std::process::id()));
@@ -48,7 +32,7 @@ fn assert_monotone_history(r: &abs::SolveResult) {
 #[test]
 fn straight_and_resumed_solves_both_reach_the_brute_force_optimum() {
     let q = std::sync::Arc::new(qubo_problems::random::generate(14, 11));
-    let optimum = brute_force_optimum(&q);
+    let optimum = qubo_baselines::exact::solve(&q).best_energy;
 
     // Arm 1: one uninterrupted session, run to the known optimum.
     let mut cfg = AbsConfig::small();

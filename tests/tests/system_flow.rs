@@ -75,7 +75,7 @@ fn host_device_flow_through_global_memory() {
     for _ in 0..3 {
         mem.push_target(BitVec::random(40, &mut rng));
     }
-    let mut block = BlockRunner::new(
+    let mut block = BlockRunner::dense(
         &q,
         BlockConfig {
             local_steps: 64,

@@ -167,7 +167,7 @@ fn aggregator_evaluated_matches_delta_tracker() {
     let n = 48;
     let q = qubo_problems::random::generate(n, 2);
     let mem = GlobalMem::with_capacities(4, 16, 128);
-    let mut runner = BlockRunner::new(
+    let mut runner = BlockRunner::dense(
         &q,
         BlockConfig {
             local_steps: 100,
