@@ -832,6 +832,29 @@ mod tests {
     }
 
     #[test]
+    fn delta_bound_bounds_all_deltas() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let q = Qubo::random(8, &mut rng);
+        let bound = crate::InstanceStats::of(&q).max_abs_delta;
+        for bits in 0u32..256 {
+            let x = BitVec::from_bits(&(0..8).map(|i| ((bits >> i) & 1) as u8).collect::<Vec<_>>());
+            for k in 0..8 {
+                assert!(q.delta(&x, k).abs() <= bound, "bits={bits:08b} k={k}");
+            }
+        }
+        assert!(bound <= 2 * 8 * q.max_abs_weight());
+    }
+
+    #[test]
+    fn delta_bound_is_tight_on_fig1() {
+        // Row 3 of Fig. 1: |−6| + 2·(3 + 0 + 2) = 16; rows 0–2 give
+        // 15, 9, 14 — the max is 16.
+        let q = paper_fig1();
+        assert_eq!(crate::InstanceStats::of(&q).max_abs_delta, 16);
+        assert_eq!(q.max_abs_weight(), 8);
+    }
+
+    #[test]
     fn content_hash_is_canonical_over_logical_equality() {
         // Two construction paths for the same instance (dense rows vs
         // triplets) must digest identically: the hash reads the

@@ -321,6 +321,12 @@ impl Device {
         let make = &make;
         std::thread::scope(|s| {
             for w in 0..workers {
+                // Announce the worker to the host's quiesce predicate
+                // before it is spawned, so a checkpoint taken while it is
+                // still being scheduled waits for it (and for its
+                // add_units) instead of snapshotting a partial roster.
+                // Signed off on every exit path below.
+                mem.worker_enter();
                 s.spawn(move || {
                     /// A scheduled block plus its identity and progress.
                     struct Slot<T: SearchTracker> {
@@ -356,9 +362,6 @@ impl Device {
                         }
                     }
                     let plan = cfg.fault.as_deref();
-                    // Announce this worker to the host's quiesce
-                    // predicate; signed off on every exit path below.
-                    mem.worker_enter();
                     'outer: while !mem.stopped() {
                         if slots.is_empty() {
                             break;
