@@ -13,19 +13,20 @@ use vgpu::{DeviceConfig, MachineConfig, WindowSchedule};
 /// The health region in [`vgpu::GlobalMem`] reports *loud* failures
 /// (quarantined blocks, dead devices). Silent stalls — a device whose
 /// counter simply stops moving — are invisible there, so the host
-/// watchdog compares progress across devices: a device accrues one
-/// *stale round* for each poll round in which some other device made
-/// counter progress while it did not, and is declared stalled when the
-/// deadline is exceeded. Its in-flight targets are requeued to healthy
-/// devices and the solve completes in degraded mode.
+/// watchdog compares progress across devices: a device's staleness
+/// clock starts at the first poll round after its last counter change
+/// in which some other device made progress, and the device is
+/// declared stalled once that clock passes `stall_after` in a round
+/// where another device progressed. Its in-flight targets are requeued
+/// to healthy devices and the solve completes in degraded mode.
 #[derive(Clone, Debug)]
 pub struct WatchdogConfig {
-    /// Stale poll rounds (rounds where *other* devices progressed but
-    /// this one did not) before a device is declared stalled. `0`
-    /// disables stall detection. The default is deliberately large so
-    /// healthy-but-slow devices on loaded CI machines are never
+    /// Wall time a device may stay silent *while other devices
+    /// progress* before it is declared stalled. Zero disables stall
+    /// detection. The default is deliberately large so a healthy device
+    /// that loses its core for a while on a loaded machine is never
     /// misdiagnosed.
-    pub stall_poll_rounds: u64,
+    pub stall_after: Duration,
     /// Absolute wall-clock ceiling on the solve, checked even while
     /// waiting for a first result. `None` means no ceiling. This is a
     /// backstop against total device failure, not a tuning knob — use
@@ -43,7 +44,7 @@ pub struct WatchdogConfig {
 impl Default for WatchdogConfig {
     fn default() -> Self {
         Self {
-            stall_poll_rounds: 100_000,
+            stall_after: Duration::from_secs(1),
             hard_timeout: None,
             audit_stride: 0,
         }
@@ -341,7 +342,7 @@ mod tests {
     #[test]
     fn watchdog_defaults_are_conservative() {
         let w = WatchdogConfig::default();
-        assert_eq!(w.stall_poll_rounds, 100_000);
+        assert_eq!(w.stall_after, Duration::from_secs(1));
         assert!(w.hard_timeout.is_none());
         assert_eq!(w.audit_stride, 0);
     }

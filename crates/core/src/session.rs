@@ -60,9 +60,10 @@ pub enum SessionStatus {
 struct DeviceState {
     /// Counter value at the last poll.
     last_counter: u64,
-    /// Consecutive poll rounds in which *other* devices progressed but
-    /// this one did not (the watchdog's staleness clock).
-    stale_rounds: u64,
+    /// Start of the watchdog's staleness clock: the first poll round
+    /// since this device's last counter change in which *another*
+    /// device progressed. `None` while it keeps up.
+    stale_since: Option<Instant>,
     /// The watchdog excluded this device (stalled or dead): its targets
     /// were requeued and it receives no new work.
     excluded: bool,
@@ -339,7 +340,7 @@ impl AbsSession {
                 let (host_rejected, requeued) = r.host_sides.get(i).copied().unwrap_or((0, 0));
                 DeviceState {
                     last_counter: 0,
-                    stale_rounds: 0,
+                    stale_since: None,
                     excluded: false,
                     excluded_as: DeviceStatus::Healthy,
                     requeued,
@@ -430,12 +431,20 @@ impl AbsSession {
         self.base_elapsed + self.start.elapsed()
     }
 
+    /// Device flips carried over from the checkpoint this session
+    /// resumed from (0 for a fresh session). Unlike
+    /// [`total_flips`](AbsSession::total_flips) it does not move while
+    /// the devices run.
+    #[must_use]
+    pub fn baseline_flips(&self) -> u64 {
+        self.baselines.iter().map(|b| b.flips).sum()
+    }
+
     /// Cumulative device flips: checkpointed baseline plus live counters.
     #[must_use]
     pub fn total_flips(&self) -> u64 {
-        let base: u64 = self.baselines.iter().map(|b| b.flips).sum();
         let live: u64 = self.machine.mems().iter().map(|m| m.total_flips()).sum();
-        base + live
+        self.baseline_flips() + live
     }
 
     /// Cumulative search units started, baseline plus live — the `m` of
@@ -505,7 +514,7 @@ impl AbsSession {
                 continue;
             }
             self.devs[i].last_counter = c;
-            self.devs[i].stale_rounds = 0;
+            self.devs[i].stale_since = None;
             progressed_any = true;
             let records = mem.drain_results();
             let mut arrived = 0usize;
@@ -519,10 +528,8 @@ impl AbsSession {
                 if rec.energy < self.best_energy {
                     self.best_energy = rec.energy;
                     self.best = Some(rec.x.clone());
-                    let flips_now = {
-                        let base: u64 = self.baselines.iter().map(|b| b.flips).sum();
-                        base + mems.iter().map(|m| m.total_flips()).sum::<u64>()
-                    };
+                    let flips_now =
+                        self.baseline_flips() + mems.iter().map(|m| m.total_flips()).sum::<u64>();
                     self.history.push(HistoryPoint {
                         elapsed_ns: self.total_elapsed().as_nanos(),
                         energy: rec.energy,
@@ -546,16 +553,20 @@ impl AbsSession {
             }
         }
 
-        // Watchdog: silent stalls. Staleness accrues only in rounds
-        // where some *other* device progressed, so a globally slow
-        // machine (loaded CI box) never trips it.
-        if progressed_any && self.config.watchdog.stall_poll_rounds > 0 {
+        // Watchdog: silent stalls, in wall time. The clock starts and is
+        // read only in rounds where some *other* device progressed, so a
+        // globally slow machine (loaded CI box) never trips it, and a
+        // round's length (about 1 µs while the host spins) does not set
+        // the bound.
+        let stall_after = self.config.watchdog.stall_after;
+        if progressed_any && !stall_after.is_zero() {
+            let now = Instant::now();
             for i in 0..mems.len() {
                 if self.devs[i].excluded || mems[i].counter() != self.devs[i].last_counter {
                     continue;
                 }
-                self.devs[i].stale_rounds += 1;
-                if self.devs[i].stale_rounds > self.config.watchdog.stall_poll_rounds {
+                let since = *self.devs[i].stale_since.get_or_insert(now);
+                if now.duration_since(since) > stall_after {
                     Self::fail_device(i, DeviceStatus::Stalled, &mems, &mut self.devs);
                 }
             }

@@ -355,9 +355,9 @@ mod tests {
         // Device 1 stalls before consuming anything; device 0 keeps
         // producing, so the watchdog's relative-progress clock runs.
         cfg.machine.device.fault = Some(Arc::new(FaultPlan::new().stall_device(1, 0)));
-        // The host drains results in bulk, so a run needs enough poll
-        // rounds for staleness to accrue: use a wall-clock stop.
-        cfg.watchdog.stall_poll_rounds = 10;
+        // Staleness is wall time, so the run must outlast
+        // `stall_after`: use a wall-clock stop.
+        cfg.watchdog.stall_after = Duration::from_millis(100);
         cfg.stop = StopCondition::timeout(Duration::from_millis(400));
         let r = solve(cfg, &q);
         assert!(r.degraded);

@@ -135,6 +135,14 @@ impl PartialEq for Qubo {
 
 impl Eq for Qubo {}
 
+impl Default for Qubo {
+    /// The 1-bit all-zero instance: the smallest valid problem, for
+    /// placeholders that must hold some matrix.
+    fn default() -> Self {
+        Self::fill_upper(1, |_| {})
+    }
+}
+
 impl Qubo {
     /// Creates a QUBO with all-zero weights.
     ///
@@ -655,6 +663,7 @@ mod tests {
             QuboError::BadSize(MAX_BITS + 1)
         );
         assert!(Qubo::zero(MAX_BITS).is_ok());
+        assert_eq!(Qubo::default(), Qubo::zero(1).unwrap());
     }
 
     #[test]

@@ -18,12 +18,20 @@
 //!
 //! All transitions go through one mutex; a condvar wakes both the
 //! solver worker (new work) and event streamers (new progress).
+//!
+//! A job entering a terminal phase releases its problem: the verbatim
+//! body becomes empty and the decoded matrix becomes one shared 1-bit
+//! placeholder, so a long-running server's memory does not grow with
+//! every finished job. The status body reads only the result, hash,
+//! config, events and error, which stay. Queued, running and
+//! interrupted jobs keep everything.
 
 use crate::spec::JobSpec;
+use qubo::Qubo;
 use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Monotone job identifier, 1-based.
@@ -110,7 +118,8 @@ pub struct JobResult {
 pub struct Job {
     /// Identifier (also the spool file stem).
     pub id: JobId,
-    /// Parsed submission.
+    /// Parsed submission. Once the job is terminal, `body` is empty and
+    /// `problem` is the store's shared 1-bit placeholder.
     pub spec: JobSpec,
     /// Current phase.
     pub phase: JobPhase,
@@ -146,6 +155,8 @@ struct Inner {
     queue: VecDeque<JobId>,
     next_id: JobId,
     draining: bool,
+    /// Σ [`JobStore::held_bytes`] over `jobs`.
+    retained: usize,
 }
 
 /// The shared job table: one mutex, one condvar.
@@ -153,6 +164,8 @@ pub struct JobStore {
     inner: Mutex<Inner>,
     cv: Condvar,
     queue_depth: usize,
+    /// What a terminal job's `spec.problem` points at.
+    released: Arc<Qubo>,
 }
 
 /// Poison-tolerant lock: a panicking HTTP worker must not wedge the
@@ -172,7 +185,43 @@ impl JobStore {
             }),
             cv: Condvar::new(),
             queue_depth: queue_depth.max(1),
+            released: Arc::new(Qubo::default()),
         }
+    }
+
+    /// Request body plus matrix bytes `job` keeps alive; the shared
+    /// placeholder counts nothing.
+    fn held_bytes(&self, job: &Job) -> usize {
+        let p = &job.spec.problem;
+        let matrix = if Arc::ptr_eq(p, &self.released) {
+            0
+        } else {
+            p.n() * p.stride() * std::mem::size_of::<i16>()
+        };
+        job.spec.body.len() + matrix
+    }
+
+    /// Applies `f` to the job under the lock. Every phase change goes
+    /// through here, so this is the one place a job that has become
+    /// terminal gives up its body and matrix.
+    fn apply<R>(&self, g: &mut Inner, id: JobId, f: impl FnOnce(&mut Job) -> R) -> Option<R> {
+        let job = g.jobs.get_mut(&id)?;
+        let before = self.held_bytes(job);
+        let out = f(job);
+        if job.phase.is_terminal() {
+            job.spec.body = String::new();
+            job.spec.problem = Arc::clone(&self.released);
+        }
+        let after = self.held_bytes(job);
+        g.retained = g.retained + after - before;
+        Some(out)
+    }
+
+    /// Body plus matrix bytes the store holds across all jobs — the
+    /// `abs_server_retained_bytes` gauge.
+    #[must_use]
+    pub fn retained_bytes(&self) -> usize {
+        lock(&self.inner).retained
     }
 
     /// Admits a job, or refuses when the queue is full / draining.
@@ -209,21 +258,20 @@ impl JobStore {
                 id
             }
         };
-        g.jobs.insert(
+        let job = Job {
             id,
-            Job {
-                id,
-                spec,
-                phase: JobPhase::Queued,
-                cancel_requested: false,
-                events: Vec::new(),
-                error: None,
-                result: None,
-                resume_from,
-                problem_hash: None,
-                warm_started: false,
-            },
-        );
+            spec,
+            phase: JobPhase::Queued,
+            cancel_requested: false,
+            events: Vec::new(),
+            error: None,
+            result: None,
+            resume_from,
+            problem_hash: None,
+            warm_started: false,
+        };
+        g.retained += self.held_bytes(&job);
+        g.jobs.insert(id, job);
         g.queue.push_back(id);
         self.cv.notify_all();
         Ok(id)
@@ -238,15 +286,17 @@ impl JobStore {
                 return None;
             }
             if let Some(id) = g.queue.pop_front() {
-                if let Some(job) = g.jobs.get_mut(&id) {
+                let claimed = self.apply(&mut g, id, |job| {
                     // A queued job cancelled before its turn never runs.
-                    if job.cancel_requested {
-                        job.phase = JobPhase::Cancelled;
-                        self.cv.notify_all();
-                        continue;
-                    }
-                    job.phase = JobPhase::Running;
-                    self.cv.notify_all();
+                    job.phase = if job.cancel_requested {
+                        JobPhase::Cancelled
+                    } else {
+                        JobPhase::Running
+                    };
+                    job.phase == JobPhase::Running
+                });
+                self.cv.notify_all();
+                if claimed == Some(true) {
                     return Some(id);
                 }
             } else {
@@ -276,9 +326,10 @@ impl JobStore {
         lock(&self.inner).jobs.get(&id).map(f)
     }
 
-    /// Mutates the job and wakes event waiters.
+    /// Mutates the job and wakes event waiters. A job that `f` moves
+    /// into a terminal phase releases its problem (module docs).
     pub fn update<R>(&self, id: JobId, f: impl FnOnce(&mut Job) -> R) -> Option<R> {
-        let out = lock(&self.inner).jobs.get_mut(&id).map(f);
+        let out = self.apply(&mut lock(&self.inner), id, f);
         self.cv.notify_all();
         out
     }
@@ -288,8 +339,7 @@ impl JobStore {
     /// Returns the phase after the request, `None` for an unknown id.
     pub fn cancel(&self, id: JobId) -> Option<JobPhase> {
         let mut g = lock(&self.inner);
-        let job = g.jobs.get_mut(&id)?;
-        let phase = match job.phase {
+        let phase = self.apply(&mut g, id, |job| match job.phase {
             JobPhase::Queued => {
                 job.cancel_requested = true;
                 job.phase = JobPhase::Cancelled;
@@ -299,8 +349,8 @@ impl JobStore {
                 job.cancel_requested = true;
                 JobPhase::Running
             }
-            terminal => terminal,
-        };
+            other => other,
+        })?;
         if phase == JobPhase::Cancelled {
             g.queue.retain(|&q| q != id);
         }
@@ -463,6 +513,88 @@ mod tests {
         // A cancellation in the middle shifts later positions down.
         assert_eq!(store.cancel(late_a), Some(JobPhase::Cancelled));
         assert_eq!(store.queue_position(late_b), Some(0));
+    }
+
+    /// Whether the job still holds its submitted body and matrix.
+    fn holds_problem(store: &JobStore, id: JobId) -> bool {
+        store
+            .with_job(id, |j| {
+                !j.spec.body.is_empty() && !Arc::ptr_eq(&j.spec.problem, &store.released)
+            })
+            .unwrap()
+    }
+
+    fn one_job_bytes() -> usize {
+        let s = spec();
+        s.body.len() + s.problem.n() * s.problem.stride() * 2
+    }
+
+    #[test]
+    fn every_terminal_path_releases_body_and_problem() {
+        let store = JobStore::new(16);
+        let per_job = one_job_bytes();
+        // Done, Failed and a mid-solve Cancelled: the worker's updates.
+        for end in [JobPhase::Done, JobPhase::Failed, JobPhase::Cancelled] {
+            let id = store.submit(spec(), None, None).unwrap();
+            assert_eq!(store.claim_next(), Some(id));
+            assert!(holds_problem(&store, id), "a running job keeps it");
+            assert_eq!(store.retained_bytes(), per_job);
+            store.update(id, |j| j.phase = end);
+            assert!(!holds_problem(&store, id), "{end:?} must release");
+            store
+                .with_job(id, |j| {
+                    assert!(j.spec.body.is_empty());
+                    assert!(Arc::ptr_eq(&j.spec.problem, &store.released));
+                })
+                .unwrap();
+            assert_eq!(store.retained_bytes(), 0);
+        }
+        // A queued job cancelled by DELETE.
+        let id = store.submit(spec(), None, None).unwrap();
+        assert_eq!(store.cancel(id), Some(JobPhase::Cancelled));
+        assert!(!holds_problem(&store, id));
+        assert_eq!(store.retained_bytes(), 0);
+        // A queued job flagged for cancellation, skipped by the claim.
+        let flagged = store.submit(spec(), None, None).unwrap();
+        let next = store.submit(spec(), None, None).unwrap();
+        store.update(flagged, |j| j.cancel_requested = true);
+        assert_eq!(store.claim_next(), Some(next));
+        assert_eq!(
+            store.with_job(flagged, |j| j.phase),
+            Some(JobPhase::Cancelled)
+        );
+        assert!(!holds_problem(&store, flagged));
+        assert!(holds_problem(&store, next));
+        assert_eq!(store.retained_bytes(), per_job);
+        // Config, hash and result survive the release.
+        store.update(next, |j| {
+            j.problem_hash = Some("ab".into());
+            j.phase = JobPhase::Done;
+        });
+        store
+            .with_job(next, |j| {
+                assert_eq!(j.problem_hash.as_deref(), Some("ab"));
+                assert_eq!(j.spec.config.tenant, "default");
+            })
+            .unwrap();
+        assert_eq!(store.retained_bytes(), 0);
+    }
+
+    #[test]
+    fn queued_and_interrupted_jobs_keep_their_problem() {
+        let store = JobStore::new(4);
+        let per_job = one_job_bytes();
+        let running = store.submit(spec(), None, None).unwrap();
+        let queued = store.submit(spec(), None, None).unwrap();
+        assert_eq!(store.retained_bytes(), 2 * per_job);
+        assert_eq!(store.claim_next(), Some(running));
+        store.update(running, |j| j.phase = JobPhase::Interrupted);
+        assert!(holds_problem(&store, running));
+        assert!(holds_problem(&store, queued));
+        // DELETE on an interrupted job changes nothing.
+        assert_eq!(store.cancel(running), Some(JobPhase::Interrupted));
+        assert!(holds_problem(&store, running));
+        assert_eq!(store.retained_bytes(), 2 * per_job);
     }
 
     #[test]

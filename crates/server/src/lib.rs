@@ -35,14 +35,16 @@ use metrics::ServerMetrics;
 use routes::AppState;
 use spool::ManifestEntry;
 use std::io::Write as _;
-use std::net::TcpListener;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// How often the accept loop checks the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How often the drain waker checks the shutdown flag.
+const SIGNAL_POLL: Duration = Duration::from_millis(5);
+/// Pause after a failed `accept` (say `EMFILE`) before trying again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Server settings (the `abs-server` command line maps 1:1 onto this).
 #[derive(Clone, Debug)]
@@ -150,7 +152,6 @@ pub fn run(config: &ServerConfig) -> Result<(), ServerError> {
     let listener =
         TcpListener::bind((config.addr.as_str(), config.port)).map_err(ServerError::Bind)?;
     let local = listener.local_addr().map_err(ServerError::Bind)?;
-    listener.set_nonblocking(true).map_err(ServerError::Bind)?;
     // The acceptance suite parses this exact line for the port.
     println!("abs-server listening on http://{local}");
     let _ = std::io::stdout().flush();
@@ -193,20 +194,26 @@ pub fn run(config: &ServerConfig) -> Result<(), ServerError> {
         http_workers.push(handle);
     }
 
-    while !signals::interrupted() {
-        match listener.accept() {
+    // The accept loop blocks until a connection arrives; on a signal the
+    // waker's own connection is what makes `accept` return.
+    let (accepting, accept_done) = mpsc::channel::<()>();
+    let waker = spawn_drain_waker(wake_addr(local), accept_done).map_err(ServerError::Bind)?;
+    loop {
+        let accepted = listener.accept();
+        if signals::interrupted() {
+            break; // the waker's connection (or a late client) goes unserved
+        }
+        match accepted {
             Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
                 if tx.send(stream).is_err() {
                     break;
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
+    drop(accepting);
+    let _ = waker.join();
 
     // Drain: refuse new work, let every worker checkpoint its job,
     // release the HTTP pool (open SSE streams see `draining` and close
@@ -242,6 +249,39 @@ pub fn run(config: &ServerConfig) -> Result<(), ServerError> {
     }
     println!("abs-server drained; {spooled} job(s) spooled");
     Ok(())
+}
+
+/// Where the drain waker connects: the listener's own address, with an
+/// unspecified bind (`0.0.0.0`, `::`) mapped to loopback.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
+}
+
+/// Spawns the thread that turns SIGINT/SIGTERM into a wake-up of the
+/// blocked accept loop. The signal handler only sets a flag, and a
+/// blocking `accept` restarts after the handler returns, so this thread
+/// reads the flag every [`SIGNAL_POLL`] and, once it is set, connects to
+/// the listener. It repeats the connect until the loop has exited
+/// (`accept_done` disconnects), so a refused attempt cannot strand the
+/// drain.
+fn spawn_drain_waker(
+    addr: SocketAddr,
+    accept_done: mpsc::Receiver<()>,
+) -> std::io::Result<std::thread::JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name("abs-drain-waker".into())
+        .spawn(move || {
+            while let Err(mpsc::RecvTimeoutError::Timeout) = accept_done.recv_timeout(SIGNAL_POLL) {
+                if signals::interrupted() {
+                    let _ = TcpStream::connect(addr);
+                }
+            }
+        })
 }
 
 /// Reloads the drain manifest: queued jobs re-queue fresh, interrupted

@@ -46,6 +46,9 @@ pub struct ServerMetrics {
     /// Count of live solver sessions (kept real under concurrency by
     /// [`ServerMetrics::job_started`] / [`ServerMetrics::job_finished`]).
     pub jobs_running: Arc<Gauge>,
+    /// Request body plus decoded matrix bytes the job store holds; set
+    /// from [`crate::job::JobStore::retained_bytes`] at each scrape.
+    pub retained_bytes: Arc<Gauge>,
     /// Authoritative running count backing `jobs_running`; the gauge
     /// API is set-only, so concurrent workers go through this atomic.
     running: AtomicI64,
@@ -99,6 +102,11 @@ impl ServerMetrics {
             "Jobs waiting in the bounded admission queue.",
         );
         let jobs_running = r.gauge("abs_server_jobs_running", &[], "Live solver sessions.");
+        let retained_bytes = r.gauge(
+            "abs_server_retained_bytes",
+            &[],
+            "Request body and matrix bytes held by the job store (finished jobs hold none).",
+        );
         Self {
             registry: r,
             jobs_submitted,
@@ -110,6 +118,7 @@ impl ServerMetrics {
             http_requests,
             queue_depth,
             jobs_running,
+            retained_bytes,
             running: AtomicI64::new(0),
             pool: Mutex::new(PoolGauges::default()),
             live: Mutex::new(None),

@@ -242,6 +242,10 @@ fn handle_cancel(state: &AppState, id: JobId) -> Result<Reply, ApiError> {
 
 /// `GET /metrics`: server registry + live solver snapshot.
 fn handle_metrics(state: &AppState) -> Result<Reply, ApiError> {
+    state
+        .metrics
+        .retained_bytes
+        .set(state.store.retained_bytes() as f64);
     Ok((200, state.metrics.render()))
 }
 

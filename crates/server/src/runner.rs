@@ -149,24 +149,31 @@ fn run_job(
     scheduler: &Scheduler,
     id: JobId,
 ) {
-    let Some((spec, resume_from)) = store.with_job(id, |j| (j.spec.clone(), j.resume_from.clone()))
-    else {
+    // Take the problem handle and the knobs, not the spec: its body can
+    // be megabytes, and the store keeps it until the job ends.
+    let ckpt_out = spool_dir.map(|d| spool::ckpt_file(d, id));
+    let Some((submitted, job_config, resume_from, mut cfg)) = store.with_job(id, |j| {
+        (
+            Arc::clone(&j.spec.problem),
+            j.spec.config.clone(),
+            j.resume_from.clone(),
+            solver_config(&j.spec, ckpt_out),
+        )
+    }) else {
         return;
     };
-    let ckpt_out = spool_dir.map(|d| spool::ckpt_file(d, id));
-    let mut cfg = solver_config(&spec, ckpt_out);
 
     // Warm start: a repeat instance reuses the cached padded matrix
     // and seeds the GA pool from prior incumbents. Resumed jobs skip
     // seeding — their checkpoint already carries a better pool.
-    let hash = spec.problem.content_hash();
+    let hash = submitted.content_hash();
     let fresh_start = resume_from.is_none();
     let (problem, seeds) = match scheduler.cache.lookup(&hash) {
-        Some(hit) if spec.config.warm_start && fresh_start => (hit.problem, hit.seeds),
+        Some(hit) if job_config.warm_start && fresh_start => (hit.problem, hit.seeds),
         Some(hit) => (hit.problem, Vec::new()),
         None => {
-            scheduler.cache.admit(hash, &spec.problem);
-            (Arc::clone(&spec.problem), Vec::new())
+            scheduler.cache.admit(hash, &submitted);
+            (submitted, Vec::new())
         }
     };
     let warm_started = !seeds.is_empty();
@@ -180,8 +187,8 @@ fn run_job(
     // runs on what was actually granted. This is the single acquire
     // site, paired with the single release below (lint-enforced).
     let lease = scheduler.pool.acquire_lease(&LeaseRequest {
-        tenant: &spec.config.tenant,
-        priority: spec.config.priority,
+        tenant: &job_config.tenant,
+        priority: job_config.priority,
         devices: cfg.machine.num_devices,
         blocks_per_device: cfg.machine.device.blocks_override.unwrap_or(1),
     });

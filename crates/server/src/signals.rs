@@ -3,10 +3,13 @@
 //! The handler body is one atomic store — the only async-signal-safe
 //! thing it could do — and two loops read the flag:
 //!
-//! * the server's accept loop, between connections. SIGINT/SIGTERM
-//!   begin a *drain*, not an exit: the loop stops taking connections,
-//!   the solver worker checkpoints the in-flight job to the spool, and
-//!   the store's non-terminal jobs are written to the drain manifest so
+//! * the server's drain waker, every 5 ms. The accept loop blocks in
+//!   `accept`, which the signal does not interrupt, so the waker
+//!   connects to the listener to wake it, and the loop checks the flag
+//!   after every `accept`. SIGINT/SIGTERM begin a *drain*, not an
+//!   exit: the loop stops taking connections, the solver worker
+//!   checkpoints the in-flight job to the spool, and the store's
+//!   non-terminal jobs are written to the drain manifest so
 //!   `--resume-jobs` can pick them back up;
 //! * the `abs-cli` solve poll loop, once per round: it checkpoints (when
 //!   `--checkpoint-out` is set), stops the session and reports the
@@ -22,7 +25,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Set by the handler on SIGINT/SIGTERM, read by the server's accept
-/// loop and the CLI's poll loop.
+/// loop and drain waker and by the CLI's poll loop.
 static INTERRUPTED: AtomicBool = AtomicBool::new(false);
 
 /// `true` once SIGINT or SIGTERM has been received.

@@ -59,21 +59,23 @@ impl Server {
         Self { child, port }
     }
 
-    /// Sends SIGTERM and waits for a clean (code 0) drain.
-    fn sigterm_and_wait(mut self) {
+    /// Sends SIGTERM, waits for a clean (code 0) drain and returns how
+    /// long the drain took.
+    fn sigterm_and_wait(mut self) -> Duration {
+        let sent = Instant::now();
         let status = Command::new("kill")
             .args(["-TERM", &self.child.id().to_string()])
             .status()
             .expect("kill -TERM");
         assert!(status.success());
-        let deadline = Instant::now() + Duration::from_secs(20);
+        let deadline = sent + Duration::from_secs(20);
         loop {
             if let Some(status) = self.child.try_wait().expect("try_wait") {
                 assert!(status.success(), "drain must exit 0, got {status:?}");
-                return;
+                return sent.elapsed();
             }
             assert!(Instant::now() < deadline, "server did not drain in time");
-            std::thread::sleep(Duration::from_millis(20));
+            std::thread::sleep(Duration::from_millis(5));
         }
     }
 }
@@ -131,6 +133,16 @@ fn wait_state(port: u16, id: u64, until: &[&str], timeout: Duration) -> serde_js
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+/// The `abs_server_retained_bytes` gauge from a `/metrics` scrape.
+fn retained_bytes(port: u16) -> f64 {
+    let (status, text) = http(port, "GET", "/metrics", None);
+    assert_eq!(status, 200);
+    text.lines()
+        .find_map(|l| l.strip_prefix("abs_server_retained_bytes "))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no abs_server_retained_bytes sample in\n{text}"))
 }
 
 /// Serializes a dense problem as the JSON codec's upper triangle.
@@ -787,4 +799,69 @@ fn temp_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
+}
+
+#[test]
+fn sigterm_on_an_idle_server_drains_within_a_second() {
+    // The accept loop blocks in `accept`; the drain must still start
+    // promptly when no client ever connects.
+    let server = Server::spawn(&[]);
+    let took = server.sigterm_and_wait();
+    assert!(took < Duration::from_secs(1), "an idle drain took {took:?}");
+}
+
+#[test]
+fn finished_jobs_leave_retained_bytes_at_idle() {
+    let server = Server::spawn(&[]);
+    let port = server.port;
+    let idle = retained_bytes(port);
+    let (q, optimum, _) = unique_optimum_instance();
+    let problem = dense_problem_json(&q);
+
+    // Fifty finished jobs later the store holds no more than at idle.
+    for id in 1..=50u64 {
+        let tenant = if id == 1 { "alice" } else { "default" };
+        let body = format!(
+            "{{\"problem\": {problem}, \"config\": {{\"seed\": {id}, \"target\": {optimum},
+               \"timeout_ms\": 30000, \"tenant\": \"{tenant}\"}}}}"
+        );
+        let (status, created) = http(port, "POST", "/jobs", Some(&body));
+        assert_eq!(status, 201, "{created}");
+        let v = wait_state(port, id, &["done", "failed"], Duration::from_secs(40));
+        assert_eq!(
+            v.get("state").and_then(|s| s.as_str()),
+            Some("done"),
+            "{v:?}"
+        );
+    }
+    assert_eq!(retained_bytes(port), idle);
+
+    // The first job still reports what it reported when it finished.
+    let (status, first) = get_json(port, "/jobs/1");
+    assert_eq!(status, 200);
+    let result = first.get("result").expect("result kept");
+    assert_eq!(
+        result.get("best_energy").and_then(|v| v.as_i64()),
+        Some(optimum)
+    );
+    assert_eq!(first.get("tenant").and_then(|v| v.as_str()), Some("alice"));
+    let hash = first
+        .get("problem_hash")
+        .and_then(|v| v.as_str())
+        .expect("hash kept");
+    assert_eq!(hash, q.content_hash().to_hex());
+
+    // A live job is counted, and cancelling it lets go.
+    let body = format!("{{\"problem\": {problem}, \"config\": {{\"timeout_ms\": 20000}}}}");
+    let (status, _) = http(port, "POST", "/jobs", Some(&body));
+    assert_eq!(status, 201);
+    wait_state(port, 51, &["running"], Duration::from_secs(10));
+    assert!(
+        retained_bytes(port) >= idle + body.len() as f64,
+        "a running job's body and matrix are counted"
+    );
+    let (status, _) = http(port, "DELETE", "/jobs/51", None);
+    assert!(status == 200 || status == 202, "cancel: {status}");
+    wait_state(port, 51, &["cancelled"], Duration::from_secs(10));
+    assert_eq!(retained_bytes(port), idle);
 }

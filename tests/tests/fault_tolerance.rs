@@ -33,7 +33,7 @@ fn acceptance_config() -> AbsConfig {
             .corrupt_record(0, 1, 1, Corruption::WrongLength)
             .corrupt_record(0, 0, 1, Corruption::WrongEnergy),
     ));
-    cfg.watchdog.stall_poll_rounds = 10;
+    cfg.watchdog.stall_after = Duration::from_millis(100);
     cfg.watchdog.hard_timeout = Some(Duration::from_secs(60));
     cfg.stop = StopCondition::timeout(Duration::from_millis(500));
     cfg
@@ -152,7 +152,7 @@ fn scattered_fault_sweep_never_deadlocks_and_keeps_exact_accounting() {
         cfg.machine.num_devices = 3;
         cfg.machine.device.blocks_override = Some(4);
         cfg.machine.device.fault = Some(Arc::new(FaultPlan::scatter(seed, 3, 4)));
-        cfg.watchdog.stall_poll_rounds = 25;
+        cfg.watchdog.stall_after = Duration::from_millis(100);
         cfg.watchdog.hard_timeout = Some(Duration::from_secs(60));
         cfg.stop = StopCondition::flips(40_000);
         let r = Abs::new(cfg)

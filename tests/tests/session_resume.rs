@@ -110,13 +110,23 @@ fn resume_is_reproducible_from_the_same_checkpoint() {
         let mut c = cfg.clone();
         c.stop = StopCondition::flips(5_001); // already met: stop at once
         let session = AbsSession::resume(c, &q, &ckpt).expect("resume");
-        let flips = session.total_flips();
+        // The baseline alone: `total_flips` adds the live device
+        // counters, which move as soon as the resumed machine starts.
+        let flips = session.baseline_flips();
         let r = session.run_to_completion().expect("solve");
         (flips, r.best, r.best_energy, r.results_inserted)
     };
     let a = restore();
     let b = restore();
     assert_eq!(a.0, b.0, "restored flip baseline must be identical");
+    let saved: u64 = abs::load_checkpoint(&ckpt, None)
+        .expect("checkpoint loads")
+        .0
+        .devices
+        .iter()
+        .map(|d| d.flips)
+        .sum();
+    assert_eq!(a.0, saved, "the baseline is the checkpoint's flip count");
     assert_eq!(a.1, b.1, "restored incumbent must be identical");
     assert_eq!(a.2, b.2);
     assert_eq!(q.energy(&a.1), a.2, "restored best must audit exactly");
