@@ -89,6 +89,9 @@ pub struct AbsSession {
     config: AbsConfig,
     n: usize,
     machine: RunningMachine,
+    /// The machine's device memories, shared once at start: a poll round
+    /// clones this `Arc` instead of allocating a fresh `Vec` of them.
+    mems: Arc<[Arc<GlobalMem>]>,
     start: Instant,
     rng: StdRng,
     pool: SolutionPool,
@@ -367,6 +370,7 @@ impl AbsSession {
         }
         let aggregator = Aggregator::new(r.num_devices, n);
         let machine = machine.start(matrix);
+        let mems = Arc::from(machine.mems());
         Self {
             hard_deadline: config.watchdog.hard_timeout.map(|d| start + d),
             next_metrics_write: config
@@ -382,6 +386,7 @@ impl AbsSession {
             config,
             n,
             machine,
+            mems,
             start,
             rng,
             pool,
@@ -493,7 +498,7 @@ impl AbsSession {
         if self.stop_met {
             return Ok(SessionStatus::StopConditionMet);
         }
-        let mems = self.machine.mems().to_vec();
+        let mems = Arc::clone(&self.mems);
 
         // Watchdog: loud failures first. A device whose health region
         // says Dead will never move its counter again.
@@ -673,8 +678,8 @@ impl AbsSession {
     /// Pauses the workers, snapshots the full session state in memory,
     /// and releases the pause barrier before returning.
     fn quiesce_and_snapshot(&mut self) -> Checkpoint {
-        let mems = self.machine.mems().to_vec();
-        for mem in &mems {
+        let mems = Arc::clone(&self.mems);
+        for mem in mems.iter() {
             mem.request_pause();
         }
         let deadline = Instant::now() + QUIESCE_DEADLINE;
@@ -722,7 +727,7 @@ impl AbsSession {
             elapsed_ns: self.total_elapsed().as_nanos(),
             devices,
         };
-        for mem in &mems {
+        for mem in mems.iter() {
             mem.release_pause();
         }
         ckpt
@@ -739,7 +744,7 @@ impl AbsSession {
     /// [`AbsError::NoResult`] / [`AbsError::AllDevicesFailed`] when the
     /// run ends with no result at all.
     pub fn stop(mut self) -> Result<SolveResult, AbsError> {
-        let mems = self.machine.mems().to_vec();
+        let mems = Arc::clone(&self.mems);
         // Degenerate budgets (or an early caller stop) can end the poll
         // phase before any result arrived; the devices are still running
         // here, so a result will come — unless every device has failed,

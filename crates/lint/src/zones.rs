@@ -127,6 +127,23 @@ pub const HOT_FNS: &[&str] = &[
     "refresh_bucket",
     "range_min_first",
     "pack",
+    // Straight walk (Algorithm 5): the bit-walk oracle, the dense arm's
+    // masked argmin (alone and fused into the flip pass) and its
+    // best-record locate, and the CSR arm's word-minimum upkeep — one
+    // call per walk flip.
+    "straight_walk",
+    "walk_bits",
+    "flip_walk",
+    "commit_flip",
+    "flip_update_walk",
+    "flip_update_walk_avx512",
+    "masked_argmin",
+    "word_span",
+    "first_index_of",
+    "scan_index_of",
+    "word_min",
+    "walk_key",
+    "walk_key_index",
     "row",
     "row_parts",
     "diag",

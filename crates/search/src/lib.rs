@@ -92,5 +92,5 @@ pub use policy::{
 };
 pub use simd::FlipKernel;
 pub use sparse::SparseDeltaTracker;
-pub use straight::straight_search;
+pub use straight::{straight_search, straight_search_reference};
 pub use tracker::{DeltaTracker, SearchTracker};

@@ -13,6 +13,11 @@
 //! * [`window_argmin`] — the circular-window argmin of the selection
 //!   policy (Fig. 2) as a single lane-wise pass that tracks candidate
 //!   indices alongside the min fold.
+//! * [`masked_argmin`] and [`flip_update_walk`] — the straight search's
+//!   selection (Algorithm 5): the leftmost minimum Δ among the bits the
+//!   packed diff words select, alone or fused into the flip's own pass
+//!   (the AVX-512 arm, whose `__mmask16` predicates come straight from
+//!   the diff words).
 //!
 //! The update exists in three lane arms: a portable chunked form on
 //! stable Rust written so the autovectorizer can keep full lanes
@@ -396,6 +401,163 @@ unsafe fn flip_update_avx512(d: &mut [i32], row: &[i16], xw: &[u64], k: usize, x
     _mm512_reduce_min_epi32(vmin)
 }
 
+/// [`flip_update`] fused with the straight walk's next selection: the
+/// same Eq. (16) update and min, plus the leftmost minimum of the
+/// *updated* Δ over the lanes `mask` selects ([`masked_argmin`]'s
+/// contract). The caller clears bit `k` from `mask` first: the flipped
+/// bit no longer differs. On [`FlipKernel::Avx512`] the selection rides
+/// the update's own pass — each updated chunk folds into one of four
+/// per-chunk-position (value, chunk) accumulators under its `__mmask16`
+/// — so the walk touches Δ once per flip; the other arms run
+/// [`flip_update`] then [`masked_argmin`].
+///
+/// # Panics
+/// Panics if `mask` has fewer words than `xw`, or (debug) on the
+/// [`flip_update`] preconditions.
+#[must_use]
+pub fn flip_update_walk(
+    kernel: FlipKernel,
+    d: &mut [i32],
+    row: &[i16],
+    xw: &[u64],
+    k: usize,
+    xk: bool,
+    mask: &[u64],
+) -> (i32, Option<usize>) {
+    #[cfg(target_arch = "x86_64")]
+    if kernel == FlipKernel::Avx512 {
+        assert!(
+            mask.len() >= xw.len(),
+            "mask must cover every solution word"
+        );
+        debug_assert_eq!(d.len(), row.len(), "Δ slice must match the padded row");
+        debug_assert!(k < d.len(), "flip index out of range");
+        debug_assert!(
+            xw.len() * 64 >= d.len(),
+            "packed words must cover the stride"
+        );
+        // SAFETY: the Avx512 variant is only constructed by
+        // FlipKernel::detect (or by tests) after
+        // is_x86_feature_detected!("avx512f") confirmed the CPU feature
+        // for this process.
+        return unsafe { flip_update_walk_avx512(d, row, xw, k, xk, mask) };
+    }
+    let min_d = flip_update(kernel, d, row, xw, k, xk);
+    (min_d, masked_argmin(d, mask))
+}
+
+/// AVX-512 arm of [`flip_update_walk`]: [`flip_update_avx512`]'s
+/// update, one packed word (four 16-lane chunks; two for a last word
+/// that ends a 32-multiple stride) per step, with a masked strict-`<`
+/// fold of each updated chunk into accumulator `c` (chunk position in
+/// the word) that records the chunk's base index on every win. Four
+/// accumulators keep the compare→move chains independent. Each lane
+/// keeps its first minimum, so the smallest `base + lane` among the
+/// lanes holding the global minimum is the leftmost one.
+///
+/// # Safety
+/// The caller must have verified `is_x86_feature_detected!("avx512f")`.
+/// Slice preconditions are those of [`flip_update`] plus
+/// `mask.len() >= xw.len()`; every pointer access stays inside
+/// `d`/`row` because a chunk starting at `base` satisfies
+/// `base + 16 <= d.len() == row.len()` (the stride is a multiple of 32,
+/// and the upper half of a word runs only when `base + 64 <= d.len()`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+// SAFETY: target_feature fn — callable only from the feature-checked dispatch in flip_update_walk.
+unsafe fn flip_update_walk_avx512(
+    d: &mut [i32],
+    row: &[i16],
+    xw: &[u64],
+    k: usize,
+    xk: bool,
+    mask: &[u64],
+) -> (i32, Option<usize>) {
+    use std::arch::x86_64::{
+        __mmask16, _mm256_loadu_si256, _mm512_add_epi32, _mm512_cmpeq_epi32_mask,
+        _mm512_cvtepi16_epi32, _mm512_loadu_si512, _mm512_mask_add_epi32,
+        _mm512_mask_cmplt_epi32_mask, _mm512_mask_mov_epi32, _mm512_mask_reduce_min_epi32,
+        _mm512_mask_sub_epi32, _mm512_min_epi32, _mm512_reduce_min_epi32, _mm512_set1_epi32,
+        _mm512_setr_epi32, _mm512_setzero_si512, _mm512_slli_epi32, _mm512_storeu_si512,
+    };
+
+    // invariant: k < d.len() = row.len(), asserted by the caller.
+    let d_k_new = -d[k];
+    // Pre-bias (see the portable flip arm): the uniform sweep adds
+    // exactly +2·W_kk to lane k, landing it on -Δ_k.
+    // invariant: k < d.len() = row.len(), asserted by the caller.
+    d[k] = d_k_new.wrapping_sub(i32::from(row[k]) << 1);
+    let xk_mask = if xk { u64::MAX } else { 0 };
+    let fill = _mm512_set1_epi32(i32::MAX);
+    let mut vmin = fill;
+    let mut wmin = [fill; 4];
+    let mut widx = [_mm512_setzero_si512(); 4];
+    let len = d.len();
+    let dp = d.as_mut_ptr();
+    let wp = row.as_ptr();
+    // One 16-lane chunk at `base`: update, store, fold into the full min
+    // and into accumulator `c` under the walk mask `sel`.
+    macro_rules! chunk {
+        ($c:literal, $base:expr, $xbits:expr, $sel:expr) => {{
+            let base = $base;
+            let xbits = $xbits as __mmask16;
+            // SAFETY: base + 16 <= row.len() (see the fn's # Safety).
+            let w16 = unsafe { _mm256_loadu_si256(wp.add(base).cast()) };
+            let w2 = _mm512_slli_epi32::<1>(_mm512_cvtepi16_epi32(w16));
+            // SAFETY: base + 16 <= d.len(), the same chunk.
+            let dv = unsafe { _mm512_loadu_si512(dp.add(base).cast()) };
+            let plus = _mm512_mask_add_epi32(dv, !xbits, dv, w2);
+            let v = _mm512_mask_sub_epi32(plus, xbits, plus, w2);
+            // SAFETY: same in-bounds chunk as the load above.
+            unsafe { _mm512_storeu_si512(dp.add(base).cast(), v) };
+            vmin = _mm512_min_epi32(vmin, v);
+            // invariant: $c is a literal below 4 = wmin.len() = widx.len().
+            let lt = _mm512_mask_cmplt_epi32_mask($sel as __mmask16, v, wmin[$c]);
+            // invariant: as above, $c < 4.
+            wmin[$c] = _mm512_mask_mov_epi32(wmin[$c], lt, v);
+            // invariant: as above, $c < 4.
+            widx[$c] = _mm512_mask_mov_epi32(widx[$c], lt, _mm512_set1_epi32(base as i32));
+        }};
+    }
+    // invariant: xw covers the stride (64·xw.len() >= len) and mask has
+    // at least xw.len() words, so the zip visits every chunk's word.
+    for (wi, (&xword, &sel)) in xw.iter().zip(mask).enumerate() {
+        let base = wi * 64;
+        if base >= len {
+            break;
+        }
+        let xbits = xword ^ xk_mask;
+        chunk!(0, base, xbits, sel);
+        chunk!(1, base + 16, xbits >> 16, sel >> 16);
+        if base + 64 <= len {
+            chunk!(2, base + 32, xbits >> 32, sel >> 32);
+            chunk!(3, base + 48, xbits >> 48, sel >> 48);
+        }
+    }
+    let min_d = _mm512_reduce_min_epi32(vmin);
+    // invariant: wmin has exactly the four accumulators 0..4.
+    let lo = _mm512_min_epi32(wmin[0], wmin[1]);
+    // invariant: as above.
+    let hi = _mm512_min_epi32(wmin[2], wmin[3]);
+    let best = _mm512_reduce_min_epi32(_mm512_min_epi32(lo, hi));
+    // Real Δ entries never reach i32::MAX, so a selected lane always
+    // won its accumulator: MAX here means no bit was selected.
+    if best == i32::MAX {
+        return (min_d, None);
+    }
+    let vb = _mm512_set1_epi32(best);
+    let iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let mut idx = i32::MAX;
+    for (&wm, &wx) in wmin.iter().zip(&widx) {
+        let at = _mm512_mask_reduce_min_epi32(
+            _mm512_cmpeq_epi32_mask(wm, vb),
+            _mm512_add_epi32(wx, iota),
+        );
+        idx = idx.min(at);
+    }
+    (min_d, Some(idx as usize))
+}
+
 /// Lane-wise circular-window argmin over `deltas[..n]`: index of the
 /// minimum inside the window of length `len` starting at `start`, with
 /// the exact tie-break contract of [`crate::window_argmin`] (first
@@ -525,6 +687,76 @@ unsafe fn slice_min_first_avx2(s: &[i32]) -> (usize, i32) {
     (best.0, best.1)
 }
 
+/// Leftmost minimum of `d` over the entries selected by the packed
+/// `mask` words (bit `i % 64` of word `i / 64` selects `d[i]`): the
+/// straight search's selection, with the diff words as lane masks.
+/// `None` when no bit is set.
+///
+/// `d` is the Δ slice padded to the row stride; every set bit must
+/// select a real entry (the diff words of two length-`n` solutions set
+/// no bit at or past `n`). Zero words are skipped whole, so the cost
+/// falls with the bits left to walk. A per-word masked min with the
+/// word's bits expanded to a keep/drop select per lane (lane-independent,
+/// so it autovectorizes on every kernel), the leftmost word holding the
+/// global minimum kept by strict `<`, then a locate over that one word's
+/// set bits — the tie contract of [`crate::straight::walk_bits`]
+/// (strict `<` in index order). Real Δ entries never reach `i32::MAX`
+/// (the qubo crate's compile-time bound), so a selected lane always
+/// beats the fold's seed. An AVX2 intrinsics form of the fold made the
+/// walk no faster on the `Avx2` kernel, so every kernel shares this one.
+///
+/// # Panics
+/// Panics if `mask` has more words than `d` spans.
+#[must_use]
+pub fn masked_argmin(d: &[i32], mask: &[u64]) -> Option<usize> {
+    assert!(
+        mask.len() <= d.len().div_ceil(64),
+        "mask has more words than the Δ slice spans"
+    );
+    debug_assert_eq!(d.len() % LANES, 0, "padded stride must be a LANES multiple");
+    let mut best: Option<(usize, i32)> = None;
+    for (wi, &w) in mask.iter().enumerate() {
+        if w == 0 {
+            continue;
+        }
+        let base = wi * 64;
+        let mut m = i32::MAX;
+        // invariant: base + word_span <= d.len() (see word_span).
+        for (j, &v) in d[base..base + word_span(d.len(), wi)].iter().enumerate() {
+            m = m.min(if (w >> j) & 1 == 1 { v } else { i32::MAX });
+        }
+        if best.is_none_or(|(_, bv)| m < bv) {
+            best = Some((wi, m));
+        }
+    }
+    let (wi, m) = best?;
+    // invariant: wi < mask.len(), the index the fold above kept.
+    let mut w = mask[wi];
+    loop {
+        let i = wi * 64 + w.trailing_zeros() as usize;
+        // invariant: m was folded from a selected entry of word wi, so
+        // the scan meets it before w runs out of set bits (i < d.len()).
+        if d[i] == m {
+            return Some(i);
+        }
+        w &= w - 1;
+    }
+}
+
+/// Padded lanes diff word `wi` spans inside a Δ slice of `len`
+/// entries: 64, or 32 for a last word that straddles the end of a
+/// stride that is a 32-multiple but not a 64-multiple. Only words with
+/// a set bit are asked, and a set bit indexes a real entry, so
+/// `64·wi < len` and both spans stay inside the slice.
+#[inline]
+fn word_span(len: usize, wi: usize) -> usize {
+    if (wi + 1) * 64 <= len {
+        64
+    } else {
+        32
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -620,6 +852,54 @@ mod tests {
             assert_eq!(window_argmin(kern, &d, 2, 6), 2, "{kern:?}");
             // Wrapped slice must NOT win an equal value.
             assert_eq!(window_argmin(kern, &d, 4, 4), 4, "{kern:?}");
+        }
+    }
+
+    #[test]
+    fn walk_selection_matches_a_bit_scan() {
+        // The leftmost minimum over the selected bits, by brute force.
+        fn scan(d: &[i32], mask: &[u64]) -> Option<usize> {
+            (0..d.len())
+                .filter(|&i| i / 64 < mask.len() && (mask[i / 64] >> (i % 64)) & 1 == 1)
+                .min_by_key(|&i| (d[i], i))
+        }
+        let mut rng = StdRng::seed_from_u64(33);
+        for n in [1usize, 31, 32, 63, 64, 65, 96, 130] {
+            let q = Qubo::random(n, &mut rng);
+            let x = BitVec::random(n, &mut rng);
+            let mut d0 = vec![i32::MAX; q.stride()];
+            for v in &mut d0[..n] {
+                // A small alphabet, so ties are common.
+                *v = rng.gen_range(-3..3);
+            }
+            for kern in kernels() {
+                let k = rng.gen_range(0..n);
+                let target = BitVec::random(n, &mut rng);
+                let mut mask = vec![0u64; n.div_ceil(64)];
+                x.diff_words_into(&target, &mut mask);
+                assert_eq!(
+                    masked_argmin(&d0, &mask),
+                    scan(&d0, &mask),
+                    "{kern:?} n={n}"
+                );
+                mask[k / 64] &= !(1u64 << (k % 64));
+                let mut want = d0.clone();
+                let want_min =
+                    flip_update(kern, &mut want, q.row_padded(k), x.words(), k, x.get(k));
+                let mut got = d0.clone();
+                let (got_min, next) = flip_update_walk(
+                    kern,
+                    &mut got,
+                    q.row_padded(k),
+                    x.words(),
+                    k,
+                    x.get(k),
+                    &mask,
+                );
+                assert_eq!(got, want, "{kern:?} n={n} k={k}");
+                assert_eq!(got_min, want_min, "{kern:?} n={n} k={k}");
+                assert_eq!(next, scan(&got, &mask), "{kern:?} n={n} k={k}");
+            }
         }
     }
 

@@ -47,9 +47,10 @@
 //! the dense tracker exactly; the telemetry aggregator derives the
 //! `abs_search_efficiency` gauge from these honest counts.
 
+use crate::straight::walk_bits;
 use crate::tracker::SearchTracker;
 use qubo::sparse::SparseQubo;
-use qubo::{BitVec, Energy};
+use qubo::{BitVec, Energy, MAX_BITS};
 
 /// Width of one Δ summary bucket. A power of two (the index→bucket map
 /// must stay a shift on the hot path) sized so one bucket's Δ slice is
@@ -79,6 +80,43 @@ fn unpack_value(p: i64) -> i32 {
     (p >> BUCKET_SHIFT) as i32
 }
 
+/// Index bits of a [`walk_key`]: every bit index of a supported problem
+/// fits below them.
+const WALK_KEY_SHIFT: u32 = 16;
+const _: () = assert!(MAX_BITS <= 1 << WALK_KEY_SHIFT);
+// One straight-walk word minimum per packed diff word: the diff words
+// are u64s, so a bucket must span exactly 64 bits.
+const _: () = assert!(BUCKET == 64);
+
+/// Packs a Δ value and its *global* index into one key ordered by
+/// `(value, index)`: the minimum key over any set of entries is their
+/// leftmost minimum, across words as well as within one. Empty words
+/// hold `i64::MAX`, above every key.
+#[inline]
+fn walk_key(v: i32, i: usize) -> i64 {
+    (i64::from(v) << WALK_KEY_SHIFT) | i as i64
+}
+
+/// The bit index of a [`walk_key`].
+#[inline]
+fn walk_key_index(p: i64) -> usize {
+    (p & ((1 << WALK_KEY_SHIFT) - 1)) as usize
+}
+
+/// Minimum [`walk_key`] over the bits set in diff word `wi` (`i64::MAX`
+/// when `w` is zero): O(popcount).
+#[inline]
+fn word_min(d: &[i32], wi: usize, mut w: u64) -> i64 {
+    let mut m = i64::MAX;
+    while w != 0 {
+        let i = wi * 64 + w.trailing_zeros() as usize;
+        // invariant: a set diff bit indexes a real bit, i < n = d.len().
+        m = m.min(walk_key(d[i], i));
+        w &= w - 1;
+    }
+    m
+}
+
 /// Incremental state over a [`SparseQubo`]: current solution, exact
 /// energy, the full Δ vector, and the bucketed argmin summaries —
 /// updated in O(degree) per flip (see the module docs).
@@ -98,6 +136,10 @@ pub struct SparseDeltaTracker<'a> {
     bmin: Vec<i64>,
     /// Whether the bucket's recorded minimum rose and needs a rescan.
     bdirty: Vec<bool>,
+    /// Straight-walk scratch, one entry per 64-bit diff word: the
+    /// minimum [`walk_key`] over the word's still-differing bits. Valid
+    /// only inside [`SparseDeltaTracker::straight_walk`].
+    wmin: Vec<i64>,
     /// Global minimum of `d` — exact (with `gidx` its leftmost index)
     /// while `gstale` is false; a lower bound once the recorded argmin
     /// itself rose, until the next exact fold.
@@ -132,6 +174,7 @@ impl<'a> SparseDeltaTracker<'a> {
             d,
             bmin: vec![0; nb],
             bdirty: vec![false; nb],
+            wmin: vec![i64::MAX; nb],
             gmin: 0,
             gidx: 0,
             gstale: false,
@@ -384,6 +427,65 @@ impl<'a> SparseDeltaTracker<'a> {
         self.select_in_window(window.0, window.1)
     }
 
+    /// The straight search's walk over the packed differing bits `diff`
+    /// ([`SearchTracker::straight_walk`]) at the cost of the O(deg)
+    /// flip it feeds: one masked minimum per diff word is built in
+    /// O(n/64 + HD) at walk start; after each flip only the word of `k`
+    /// (which lost its minimum) is rescanned, and each neighbour of `k`
+    /// that still differs folds its new Δ in O(1) — a rescan only when
+    /// the word's recorded minimum itself rose. Selection is a min over
+    /// the ~n/64 word keys, whose `(value, index)` order is the leftmost
+    /// tie contract. Below one word the bit walk ([`walk_bits`]) stays.
+    pub fn straight_walk(&mut self, diff: &mut [u64]) -> u64 {
+        if self.n() < BUCKET {
+            return walk_bits(self, diff);
+        }
+        let q = self.q;
+        // invariant: diff spans ceil(n/64) = nb = wmin.len() words.
+        let wmin = &mut self.wmin[..diff.len()];
+        for (wi, (m, &w)) in wmin.iter_mut().zip(diff.iter()).enumerate() {
+            *m = word_min(&self.d, wi, w);
+        }
+        let mut flips = 0u64;
+        loop {
+            // invariant: diff.len() <= wmin.len(), as above.
+            let key = self.wmin[..diff.len()]
+                .iter()
+                .copied()
+                .min()
+                .unwrap_or(i64::MAX);
+            if key == i64::MAX {
+                return flips; // X = T
+            }
+            let k = walk_key_index(key);
+            let wk = k / 64;
+            // invariant: k is a selected bit, so wk < diff.len().
+            diff[wk] &= !(1u64 << (k % 64));
+            self.flip(k);
+            flips += 1;
+            // invariant: wk < diff.len() <= wmin.len().
+            self.wmin[wk] = word_min(&self.d, wk, diff[wk]);
+            for (i, _) in q.row(k) {
+                let wi = i / 64;
+                // invariant: CSR column indices are < n, so wi < diff.len().
+                if (diff[wi] >> (i % 64)) & 1 == 0 {
+                    continue;
+                }
+                // invariant: i < n = d.len(); wi < wmin.len() as above.
+                let p = walk_key(self.d[i], i);
+                let m = self.wmin[wi];
+                if p < m {
+                    // invariant: wi < wmin.len(), as above.
+                    self.wmin[wi] = p;
+                } else if p > m && walk_key_index(m) == i {
+                    // The word's recorded minimum itself rose.
+                    // invariant: wi < diff.len() <= wmin.len(), as above.
+                    self.wmin[wi] = word_min(&self.d, wi, diff[wi]);
+                }
+            }
+        }
+    }
+
     /// Flips bit `k` in O(degree(k)): Eq. (16) over the nonzero
     /// neighbours only, with summary maintenance and dense-parity best
     /// recording (see the module docs).
@@ -603,6 +705,10 @@ impl SearchTracker for SparseDeltaTracker<'_> {
 
     fn flip_select(&mut self, k: usize, window: (usize, usize)) -> usize {
         SparseDeltaTracker::flip_select(self, k, window)
+    }
+
+    fn straight_walk(&mut self, diff: &mut [u64]) -> u64 {
+        SparseDeltaTracker::straight_walk(self, diff)
     }
 
     fn verify(&self) {

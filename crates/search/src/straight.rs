@@ -21,22 +21,47 @@ use qubo::{BitVec, MAX_BITS};
 const DIFF_WORDS: usize = MAX_BITS / 64;
 
 /// Walks the tracker from its current solution to `target`, greedily
-/// flipping the minimum-`Δ` differing bit at each step. Returns the
-/// number of flips performed (the initial Hamming distance).
+/// flipping the minimum-`Δ` differing bit at each step (the leftmost
+/// one on ties). Returns the number of flips performed (the initial
+/// Hamming distance).
 ///
 /// The differing-bit set is materialized once as packed words (one XOR
-/// pass, [`BitVec::diff_words_into`]) into a fixed stack scratch; each
-/// step walks the set bits with `trailing_zeros` and clears the flipped
-/// bit, so the walk never rescans per-bit and the Hamming distance to
-/// `T` strictly decreases by construction. The flip count is asserted
-/// equal to the popcount Hamming distance (§3.1: a straight search
-/// costs exactly `hamming(C, T)` flips).
+/// pass, [`BitVec::diff_words_into`]) into a fixed stack scratch, and
+/// the storage arm's [`SearchTracker::straight_walk`] selects and
+/// flips: the dense arm runs a lane-wise masked argmin with the diff
+/// words as lane masks, the CSR arm keeps one masked minimum per diff
+/// word. Both pick exactly the bit [`walk_bits`] picks. The flip count
+/// is asserted equal to the popcount Hamming distance (§3.1: a straight
+/// search costs exactly `hamming(C, T)` flips).
 ///
 /// Generic over [`SearchTracker`], and thereby over both storage arms.
 ///
 /// # Panics
 /// Panics if `target.len()` differs from the tracker's problem size.
 pub fn straight_search<T: SearchTracker + ?Sized>(tracker: &mut T, target: &BitVec) -> u64 {
+    walk_to(tracker, target, T::straight_walk)
+}
+
+/// [`straight_search`] pinned to the bit walk ([`walk_bits`]) whatever
+/// the tracker's arm: the oracle the dispatched walks are checked and
+/// benchmarked against.
+///
+/// # Panics
+/// Panics if `target.len()` differs from the tracker's problem size.
+pub fn straight_search_reference<T: SearchTracker + ?Sized>(
+    tracker: &mut T,
+    target: &BitVec,
+) -> u64 {
+    walk_to(tracker, target, walk_bits::<T>)
+}
+
+/// Builds the diff words, runs `walk` over them, and checks its flip
+/// count against the popcount Hamming distance.
+fn walk_to<T: SearchTracker + ?Sized>(
+    tracker: &mut T,
+    target: &BitVec,
+    walk: impl FnOnce(&mut T, &mut [u64]) -> u64,
+) -> u64 {
     assert_eq!(
         target.len(),
         tracker.n(),
@@ -46,13 +71,31 @@ pub fn straight_search<T: SearchTracker + ?Sized>(tracker: &mut T, target: &BitV
     // invariant: n <= MAX_BITS, so ceil(n/64) <= DIFF_WORDS words.
     let nw = tracker.x().diff_words_into(target, &mut diff);
     let expected: u64 = diff[..nw].iter().map(|w| u64::from(w.count_ones())).sum();
+    // invariant: nw <= DIFF_WORDS, returned by diff_words_into.
+    let flips = walk(tracker, &mut diff[..nw]);
+    assert_eq!(
+        flips, expected,
+        "straight search must cost exactly the popcount Hamming distance"
+    );
+    flips
+}
+
+/// The bit walk: each step visits every remaining differing bit via
+/// `trailing_zeros` over the packed `diff` words, flips the leftmost
+/// minimum-`Δ` one and clears its bit, until `diff` is all zero.
+/// Returns the flips performed. O(HD) per step, O(HD²) per walk — the
+/// [`crate::FlipKernel::Scalar`] arm's path, the path below one diff
+/// word (where a walk covers at most 63 bits), and the oracle of every
+/// faster [`SearchTracker::straight_walk`].
+///
+/// Never inlined: the oracle and every arm that dispatches to it run one
+/// copy of the loop, so a `Scalar` walk costs what the oracle costs.
+#[inline(never)]
+pub fn walk_bits<T: SearchTracker + ?Sized>(tracker: &mut T, diff: &mut [u64]) -> u64 {
     let mut flips = 0u64;
     loop {
-        // Greedily select the differing bit with minimum Δ: walk the
-        // packed diff words via trailing_zeros (one step per set bit).
         let mut best: Option<(usize, i32)> = None;
-        // invariant: nw <= DIFF_WORDS, returned by diff_words_into.
-        for (wi, &word) in diff[..nw].iter().enumerate() {
+        for (wi, &word) in diff.iter().enumerate() {
             let mut w = word;
             while w != 0 {
                 let i = wi * 64 + w.trailing_zeros() as usize;
@@ -65,21 +108,14 @@ pub fn straight_search<T: SearchTracker + ?Sized>(tracker: &mut T, target: &BitV
                 }
             }
         }
-        match best {
-            None => break, // X = T
-            Some((k, _)) => {
-                tracker.flip(k);
-                // invariant: k < n <= 64 * nw, so k / 64 < nw.
-                diff[k / 64] &= !(1u64 << (k % 64));
-                flips += 1;
-            }
-        }
+        let Some((k, _)) = best else {
+            return flips; // X = T
+        };
+        tracker.flip(k);
+        // invariant: k < n <= 64 * diff.len(), so k / 64 < diff.len().
+        diff[k / 64] &= !(1u64 << (k % 64));
+        flips += 1;
     }
-    assert_eq!(
-        flips, expected,
-        "straight search must cost exactly the popcount Hamming distance"
-    );
-    flips
 }
 
 #[cfg(test)]

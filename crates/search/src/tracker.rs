@@ -2,6 +2,7 @@
 
 use crate::policy::window_argmin;
 use crate::simd::{self, FlipKernel};
+use crate::straight::walk_bits;
 use qubo::{BitVec, Energy, Qubo};
 
 /// The incremental-search surface the bulk-search drivers are generic
@@ -65,6 +66,15 @@ pub trait SearchTracker {
     /// storage arm allows it).
     fn flip_select(&mut self, k: usize, window: (usize, usize)) -> usize;
 
+    /// The straight search's walk (Algorithm 5): while any bit of the
+    /// packed differing-bit words `diff` is set, flips the leftmost
+    /// minimum-Δ selected bit and clears it. Returns the flips
+    /// performed; `diff` ends all zero. Every arm flips exactly the
+    /// sequence [`crate::straight::walk_bits`] flips, at a selection
+    /// cost matched to its flip: a lane-wise masked argmin on the dense
+    /// arm, per-word minima refreshed in O(deg) on the CSR arm.
+    fn straight_walk(&mut self, diff: &mut [u64]) -> u64;
+
     /// Verifies internal invariants against reference computations
     /// (test/debug only; never on the hot path).
     fn verify(&self);
@@ -87,6 +97,34 @@ fn aligned_d(stride: usize, fill: impl FnMut(usize) -> i32) -> (Vec<i32>, usize)
     d.extend(std::iter::repeat_n(i32::MAX, off));
     d.extend((0..stride).map(fill));
     (d, off)
+}
+
+/// Index of the first `v` in `d`, which must hold it, by a plain scan:
+/// the best-record locate of a local-search flip, where a new best is
+/// the rare path.
+fn scan_index_of(d: &[i32], v: i32) -> usize {
+    // invariant: v is in d, so the scan stops before i leaves the slice.
+    let mut i = 0;
+    while d[i] != v {
+        i += 1;
+    }
+    i
+}
+
+/// [`scan_index_of`] for the walk's flip: 16-entry blocks are tested
+/// with a branch-free OR of compares (vectorizable), and only the block
+/// holding `v` is scanned. A walk toward a good target records a new
+/// best on a large share of its flips, so there the locate is a walk
+/// cost.
+fn first_index_of(d: &[i32], v: i32) -> usize {
+    const BLOCK: usize = 16;
+    let i = d
+        .chunks(BLOCK)
+        .take_while(|block| !block.iter().fold(false, |hit, &x| hit | (x == v)))
+        .count()
+        * BLOCK;
+    // invariant: v is in d at or after i, so i < d.len().
+    i + scan_index_of(&d[i..], v)
 }
 
 /// Incremental search state for one search unit (one "CUDA block" in the
@@ -364,6 +402,31 @@ impl<'a> DeltaTracker<'a> {
         self.select_in_window(window.0, window.1)
     }
 
+    /// The straight search's walk over the packed differing bits `diff`
+    /// ([`SearchTracker::straight_walk`]): each flip also selects the
+    /// next bit with a lane-wise masked argmin over the just-written Δ
+    /// vector, the diff words as lane masks ([`simd::flip_update_walk`]:
+    /// inside the flip pass on AVX-512, right after it elsewhere) —
+    /// O(n / lanes) per step against the bit walk's O(HD). The
+    /// [`FlipKernel::Scalar`] arm, and problems below one diff word (a
+    /// walk of at most 63 bits), keep the bit walk ([`walk_bits`]).
+    pub fn straight_walk(&mut self, diff: &mut [u64]) -> u64 {
+        if self.kernel == FlipKernel::Scalar || self.n() < 64 {
+            return walk_bits(self, diff);
+        }
+        let mut flips = 0u64;
+        // invariant: d_off + stride = d.len(), so the view is exactly one
+        // padded row long (aligned_d).
+        let mut next = simd::masked_argmin(&self.d[self.d_off..], diff);
+        while let Some(k) = next {
+            // invariant: k < n <= 64 * diff.len(), a selected bit.
+            diff[k / 64] &= !(1u64 << (k % 64));
+            next = self.flip_walk(k, diff);
+            flips += 1;
+        }
+        flips
+    }
+
     /// The fused kernel: one traversal of row `W_k` that applies the
     /// Eq. (16) update *and* computes `min_i Δ_i` of the new state for
     /// best-neighbour recording (no separate min pass). Dispatches to
@@ -396,8 +459,47 @@ impl<'a> DeltaTracker<'a> {
                 self.x.get(k),
             )
         };
+        self.commit_flip(k, e_new, min_d, scan_index_of);
+    }
 
-        // invariant: sign[k] in bounds (k < n asserted at entry).
+    /// [`DeltaTracker::flip_fused`] fused with the straight walk's next
+    /// selection ([`simd::flip_update_walk`]): flips `k` (already cleared
+    /// from `diff`) and returns the leftmost minimum-Δ bit of the new
+    /// state among those `diff` selects. Lane kernels only; the scalar
+    /// arm walks with [`walk_bits`].
+    fn flip_walk(&mut self, k: usize, diff: &[u64]) -> Option<usize> {
+        let n = self.n();
+        assert!(k < n, "bit index {k} out of range {n}");
+        let off = self.d_off;
+        // invariant: k < n asserted above; off + n <= d.len() (aligned_d).
+        let e_new = self.e + Energy::from(self.d[off + k]);
+        // invariant: off + stride = d.len(), as in flip_fused.
+        let dv = &mut self.d[off..];
+        let (min_d, next) = simd::flip_update_walk(
+            self.kernel,
+            dv,
+            self.qubo.row_padded(k),
+            self.x.words(),
+            k,
+            self.x.get(k),
+            diff,
+        );
+        self.commit_flip(k, e_new, min_d, first_index_of);
+        next
+    }
+
+    /// The bookkeeping after a flip's Δ pass: `X`, `E(X)`, the sign of
+    /// `k`, the flip count, and the best record from `min_d`, whose
+    /// index `locate` finds when a neighbour beats the record.
+    #[inline(always)]
+    fn commit_flip(
+        &mut self,
+        k: usize,
+        e_new: Energy,
+        min_d: i32,
+        locate: fn(&[i32], i32) -> usize,
+    ) {
+        // invariant: sign[k] in bounds (callers assert k < n).
         self.sign[k] = -self.sign[k];
         self.x.flip(k);
         self.e = e_new;
@@ -406,19 +508,14 @@ impl<'a> DeltaTracker<'a> {
         // Evaluation fusion (Theorem 1): the energies of the new
         // solution and all n of its neighbours are now known as e_new
         // and e_new + d_i, and min_d was folded into the update loops.
-        // The argmin index is only located on improvement (rare path).
+        // The argmin index is only located on improvement (rare in a
+        // local search, common in a walk toward a good target).
         if e_new < self.best_e {
             self.best.copy_from(&self.x);
             self.best_e = e_new;
         }
         if e_new + Energy::from(min_d) < self.best_e {
-            let d = self.deltas();
-            // invariant: min_d was folded from d's own entries, so the
-            // locate scan stops before i leaves the slice.
-            let mut i = 0;
-            while d[i] != min_d {
-                i += 1;
-            }
+            let i = locate(self.deltas(), min_d);
             self.best.copy_from(&self.x);
             self.best.flip(i);
             self.best_e = e_new + Energy::from(min_d);
@@ -539,6 +636,10 @@ impl SearchTracker for DeltaTracker<'_> {
 
     fn flip_select(&mut self, k: usize, window: (usize, usize)) -> usize {
         DeltaTracker::flip_select(self, k, window)
+    }
+
+    fn straight_walk(&mut self, diff: &mut [u64]) -> u64 {
+        DeltaTracker::straight_walk(self, diff)
     }
 
     fn verify(&self) {

@@ -189,27 +189,25 @@ impl JobStore {
         }
     }
 
-    /// Request body plus matrix bytes `job` keeps alive; the shared
-    /// placeholder counts nothing.
+    /// Matrix bytes `job` keeps alive; the shared placeholder counts
+    /// nothing (the spec holds no request text, see `JobSpec::body`).
     fn held_bytes(&self, job: &Job) -> usize {
         let p = &job.spec.problem;
-        let matrix = if Arc::ptr_eq(p, &self.released) {
+        if Arc::ptr_eq(p, &self.released) {
             0
         } else {
             p.n() * p.stride() * std::mem::size_of::<i16>()
-        };
-        job.spec.body.len() + matrix
+        }
     }
 
     /// Applies `f` to the job under the lock. Every phase change goes
     /// through here, so this is the one place a job that has become
-    /// terminal gives up its body and matrix.
+    /// terminal gives up its matrix.
     fn apply<R>(&self, g: &mut Inner, id: JobId, f: impl FnOnce(&mut Job) -> R) -> Option<R> {
         let job = g.jobs.get_mut(&id)?;
         let before = self.held_bytes(job);
         let out = f(job);
         if job.phase.is_terminal() {
-            job.spec.body = String::new();
             job.spec.problem = Arc::clone(&self.released);
         }
         let after = self.held_bytes(job);
@@ -217,7 +215,7 @@ impl JobStore {
         Some(out)
     }
 
-    /// Body plus matrix bytes the store holds across all jobs — the
+    /// Matrix bytes the store holds across all jobs — the
     /// `abs_server_retained_bytes` gauge.
     #[must_use]
     pub fn retained_bytes(&self) -> usize {
@@ -515,18 +513,22 @@ mod tests {
         assert_eq!(store.queue_position(late_b), Some(0));
     }
 
-    /// Whether the job still holds its submitted body and matrix.
+    /// Whether the job still holds its decoded matrix. The spec never
+    /// holds the request text, in any phase.
     fn holds_problem(store: &JobStore, id: JobId) -> bool {
         store
             .with_job(id, |j| {
-                !j.spec.body.is_empty() && !Arc::ptr_eq(&j.spec.problem, &store.released)
+                assert!(j.spec.body.is_empty(), "the spec holds no request text");
+                !Arc::ptr_eq(&j.spec.problem, &store.released)
             })
             .unwrap()
     }
 
+    /// What one live job retains: its padded matrix, and no body.
     fn one_job_bytes() -> usize {
         let s = spec();
-        s.body.len() + s.problem.n() * s.problem.stride() * 2
+        assert!(s.body.is_empty(), "parse_spec copies no request text");
+        s.problem.n() * s.problem.stride() * 2
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl ServerMetrics {
         let retained_bytes = r.gauge(
             "abs_server_retained_bytes",
             &[],
-            "Request body and matrix bytes held by the job store (finished jobs hold none).",
+            "Matrix bytes held by the job store (finished jobs hold none).",
         );
         Self {
             registry: r,

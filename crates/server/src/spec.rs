@@ -78,12 +78,16 @@ impl Default for JobConfig {
     }
 }
 
-/// A parsed, admitted job submission. The original body text rides
-/// along verbatim so the drain spool can persist exactly what the
-/// client sent.
+/// A parsed, admitted job submission. The drain spool persists the
+/// request bytes itself (`routes::handle_submit` writes them), so the
+/// spec keeps only what the solver needs.
 #[derive(Clone, Debug)]
 pub struct JobSpec {
-    /// The verbatim `POST /jobs` body.
+    /// Always empty: no server path reads the request text, so
+    /// [`parse_spec`] no longer copies it. The field stays only because
+    /// the end-to-end benchmark's traced replay (`bench/e2e`) still
+    /// writes it; it goes away with the benchmark change that retires
+    /// that replay (ROADMAP item 2).
     pub body: String,
     /// Decoded problem (shared with the solver worker).
     pub problem: Arc<Qubo>,
@@ -219,7 +223,7 @@ pub fn parse_spec(body: &str) -> Result<JobSpec, SpecError> {
         }
     };
     Ok(JobSpec {
-        body: body.to_string(),
+        body: String::new(),
         problem: Arc::new(problem),
         config,
     })
