@@ -16,24 +16,39 @@
 //!   CPU supports it, else the portable lane arm on builds that already
 //!   target AVX2, else the AVX2 intrinsic arm, else portable lanes).
 //!
-//! After measuring, `main` writes the means and speedups to
-//! `BENCH_flip.json` at the repo root (override with `BENCH_FLIP_OUT`).
-//! The perf gates at n ∈ {1024, 4096}: fused_i32 ≥ 1.3× seed, and
-//! simd ≥ 1.4× fused_i32.
+//! Timing is paired: the three kernels walk the same trajectory, so
+//! each round advances every kernel's walk by the same [`chunk`] of
+//! flips, timed per kernel, rotating which kernel goes first. A burst of
+//! host noise then lands on one round of every kernel alike instead of
+//! on whichever kernel's whole measurement it happened to hit. A
+//! kernel's ns per flip is its median over the rounds; a speedup is the
+//! median of the per-round ratios. `CRITERION_SHIM_SCALE` shrinks the
+//! timing budget (at least [`MIN_ROUNDS`] rounds always run).
+//!
+//! `main` writes the medians and speedups to `BENCH_flip.json` at the
+//! repo root (override with `BENCH_FLIP_OUT`). The perf gates at
+//! n ∈ {1024, 4096}: fused_i32 ≥ 1.3× seed, and simd ≥ 1.4× fused_i32.
 
-use criterion::{Bencher, BenchmarkId, Criterion, Throughput};
-use qubo::{BitVec, Qubo};
+use criterion::{BenchmarkId, Criterion, Throughput};
+use qubo::{BitVec, DenseRows, Qubo};
 use qubo_problems::random;
 use qubo_search::{DeltaTracker, FlipKernel, SelectionPolicy, WindowMinPolicy};
 use std::hint::black_box;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Paired-timing budget per problem size at `CRITERION_SHIM_SCALE = 1`.
+const BUDGET: Duration = Duration::from_secs(3);
+/// Timing rounds that run whatever the budget.
+const MIN_ROUNDS: usize = 5;
+/// Kernel names, in report order.
+const KERNELS: [&str; 3] = ["seed_i64", "fused_i32", "simd"];
 
 /// Faithful reproduction of the pre-fusion flip path: the Δ update, the
 /// best-neighbour min, and the window selection each traverse the Δ
 /// vector (or window) separately, and the window scan indexes with a
 /// per-element `% n`. Kept inline here as the benchmark baseline.
 struct SeedKernel<'a> {
-    qubo: &'a Qubo,
+    rows: &'a DenseRows,
     x: BitVec,
     sign: Vec<i8>,
     e: i64,
@@ -46,11 +61,12 @@ struct SeedKernel<'a> {
 
 impl<'a> SeedKernel<'a> {
     fn new(qubo: &'a Qubo, window: usize) -> Self {
-        let n = qubo.n();
-        let d: Vec<i64> = (0..n).map(|i| i64::from(qubo.diag(i))).collect();
+        let rows = qubo.dense();
+        let n = rows.n();
+        let d: Vec<i64> = (0..n).map(|i| i64::from(rows.diag(i))).collect();
         let x = BitVec::zeros(n);
         let mut k = Self {
-            qubo,
+            rows,
             best: x.clone(),
             x,
             sign: vec![1i8; n],
@@ -87,7 +103,7 @@ impl<'a> SeedKernel<'a> {
     }
 
     fn flip(&mut self, k: usize) {
-        let row = self.qubo.row(k);
+        let row = self.rows.row(k);
         let d_k_old = self.d[k];
         let e_new = self.e + d_k_old;
         let two_pk = i32::from(self.sign[k]) * 2;
@@ -112,55 +128,104 @@ impl<'a> SeedKernel<'a> {
     }
 }
 
-fn bench_seed(b: &mut Bencher<'_>, q: &Qubo, window: usize) {
+/// One kernel's window-policy walk, advanced a given number of flips
+/// per call.
+type Walk<'a> = Box<dyn FnMut(usize) + 'a>;
+
+fn seed_walk(q: &Qubo, window: usize) -> Walk<'_> {
     let mut kern = SeedKernel::new(q, window);
-    b.iter(|| {
-        let k = kern.select();
-        kern.flip(black_box(k));
-    });
+    Box::new(move |flips| {
+        for _ in 0..flips {
+            let k = kern.select();
+            kern.flip(black_box(k));
+        }
+    })
 }
 
-fn bench_fused(b: &mut Bencher<'_>, q: &Qubo, window: usize, kernel: FlipKernel) {
+fn fused_walk(q: &Qubo, window: usize, kernel: FlipKernel) -> Walk<'_> {
     let n = q.n();
     let mut t = DeltaTracker::with_kernel(q, kernel);
     let mut p = WindowMinPolicy::new(window);
     let (a, l) = p.next_window(n).expect("window policy");
     let mut k = t.select_in_window(a, l);
-    b.iter(|| {
-        let (a, l) = p.next_window(n).expect("window policy");
-        k = t.flip_select(black_box(k), (a, l));
-    });
+    Box::new(move |flips| {
+        for _ in 0..flips {
+            let (a, l) = p.next_window(n).expect("window policy");
+            k = t.flip_select(black_box(k), (a, l));
+        }
+    })
 }
 
-fn bench_flip(c: &mut Criterion) {
-    let mut g = c.benchmark_group("tracker_flip");
-    g.sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(800));
-    // Two independent measurement passes per cell: the report gates on
-    // the per-cell minimum of the pass means, which rejects transient
-    // neighbour load on shared hosts (a burst that lands mid-run would
-    // otherwise skew whichever kernel it happened to hit).
-    for pass in 0..2 {
-        if pass > 0 {
-            println!("── group: tracker_flip (pass {})", pass + 1);
-        }
-        for n in [256usize, 1024, 4096] {
-            let q = random::generate(n, 1);
-            let window = n / 8;
-            g.throughput(Throughput::Elements((n as u64) + 1)); // solutions evaluated per flip
-            g.bench_with_input(BenchmarkId::new("seed_i64", n), &n, |b, _| {
-                bench_seed(b, &q, window);
-            });
-            g.bench_with_input(BenchmarkId::new("fused_i32", n), &n, |b, _| {
-                bench_fused(b, &q, window, FlipKernel::Scalar);
-            });
-            g.bench_with_input(BenchmarkId::new("simd", n), &n, |b, _| {
-                bench_fused(b, &q, window, FlipKernel::detect());
-            });
-        }
+/// Flips per round: about 2²⁰ row elements, so a round of the slowest
+/// kernel stays near a millisecond at every size.
+fn chunk(n: usize) -> usize {
+    (1 << 20) / n
+}
+
+/// One size's paired measurement: per-kernel ns per flip of every round.
+struct Paired {
+    n: usize,
+    rounds: Vec<[f64; 3]>,
+}
+
+impl Paired {
+    fn median(mut v: Vec<f64>) -> f64 {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
     }
-    g.finish();
+
+    /// Median ns per flip of kernel `k`.
+    fn ns(&self, k: usize) -> f64 {
+        Self::median(self.rounds.iter().map(|r| r[k]).collect())
+    }
+
+    /// Median over the rounds of `slow`'s time over `fast`'s.
+    fn speedup(&self, slow: usize, fast: usize) -> f64 {
+        Self::median(self.rounds.iter().map(|r| r[slow] / r[fast]).collect())
+    }
+}
+
+/// Times the three kernels' walks at size `n` in paired rounds (see the
+/// module docs), after one untimed warm-up chunk each.
+fn time_paired(n: usize) -> Paired {
+    let q = random::generate(n, 1);
+    let window = n / 8;
+    // One shared instance: the walks read the same rows in the same
+    // order, so every kernel finds the walk's rows as warm as it would
+    // running alone (separate copies would evict each other's rows at
+    // n = 4096 and time DRAM instead). The rotation spreads the cost of
+    // the rows a round first reaches over the kernels.
+    let mut walks = [
+        seed_walk(&q, window),
+        fused_walk(&q, window, FlipKernel::Scalar),
+        fused_walk(&q, window, FlipKernel::detect()),
+    ];
+    let flips = chunk(n);
+    for walk in &mut walks {
+        walk(flips);
+    }
+    let budget = abs_bench::scaled_budget(BUDGET);
+    let clock = Instant::now();
+    let mut rounds = Vec::new();
+    while rounds.len() < MIN_ROUNDS || clock.elapsed() < budget {
+        let mut ns = [0.0; 3];
+        for i in 0..3 {
+            let k = (i + rounds.len()) % 3;
+            let t0 = Instant::now();
+            walks[k](flips);
+            ns[k] = t0.elapsed().as_nanos() as f64 / flips as f64;
+        }
+        rounds.push(ns);
+    }
+    let p = Paired { n, rounds };
+    for (k, name) in KERNELS.iter().enumerate() {
+        println!(
+            "tracker_flip/{name}/{n:<5} {:>9.1} ns/flip (median of {} paired rounds)",
+            p.ns(k),
+            p.rounds.len()
+        );
+    }
+    p
 }
 
 fn bench_straight_step(c: &mut Criterion) {
@@ -237,44 +302,34 @@ fn sanity_check() {
     );
 }
 
-fn mean_ns(c: &Criterion, name: &str) -> f64 {
-    // Minimum over the measurement passes: the estimate least polluted
-    // by transient neighbour load (f64::min ignores the NaN seed, and
-    // an absent cell stays NaN, which fails every gate comparison).
-    c.results
-        .iter()
-        .filter(|(n, _)| n == name)
-        .map(|(_, m)| m.mean_ns)
-        .fold(f64::NAN, f64::min)
-}
-
-fn write_report(c: &Criterion) {
+fn write_report(sizes: &[Paired]) {
     const GATE: f64 = 1.3;
     const SIMD_GATE: f64 = 1.4;
     let gate_sizes = [1024usize, 4096];
     let kernel = FlipKernel::detect().name();
     let mut rows = Vec::new();
     let mut pass = true;
-    for n in [256usize, 1024, 4096] {
-        let seed = mean_ns(c, &format!("tracker_flip/seed_i64/{n}"));
-        let f32_ns = mean_ns(c, &format!("tracker_flip/fused_i32/{n}"));
-        let simd_ns = mean_ns(c, &format!("tracker_flip/simd/{n}"));
-        let s32 = seed / f32_ns;
-        let ssimd = f32_ns / simd_ns;
+    for p in sizes {
+        let n = p.n;
+        let (seed, f32_ns, simd_ns) = (p.ns(0), p.ns(1), p.ns(2));
+        let s32 = p.speedup(0, 1);
+        let ssimd = p.speedup(1, 2);
         if gate_sizes.contains(&n) && (s32 < GATE || ssimd < SIMD_GATE) {
             pass = false;
         }
         rows.push(format!(
-            "    {{\"n\": {n}, \"window\": {w}, \"seed_i64_ns\": {seed:.1}, \
+            "    {{\"n\": {n}, \"window\": {w}, \"rounds\": {r}, \"seed_i64_ns\": {seed:.1}, \
              \"fused_i32_ns\": {f32_ns:.1}, \"simd_ns\": {simd_ns:.1}, \
              \"speedup_fused_i32\": {s32:.3}, \
              \"speedup_simd_vs_fused_i32\": {ssimd:.3}}}",
-            w = n / 8
+            w = n / 8,
+            r = p.rounds.len()
         ));
     }
     let json = format!(
         "{{\n  \"bench\": \"flip_throughput\",\n  \"policy\": \"window(n/8)\",\n  \
-         \"metric\": \"mean ns per flip (one flip evaluates n+1 solutions)\",\n  \
+         \"metric\": \"median ns per flip over paired rounds (one flip evaluates n+1 solutions); \
+         speedups are medians of per-round ratios\",\n  \
          \"simd_kernel\": \"{kernel}\",\n  \
          \"sizes\": [\n{rows}\n  ],\n  \
          \"gate\": {{\"min_speedup_fused_i32\": {GATE}, \
@@ -290,8 +345,11 @@ fn write_report(c: &Criterion) {
 
 fn main() {
     sanity_check();
+    let sizes: Vec<Paired> = [256usize, 1024, 4096]
+        .into_iter()
+        .map(time_paired)
+        .collect();
     let mut c = Criterion::default();
-    bench_flip(&mut c);
     bench_straight_step(&mut c);
-    write_report(&c);
+    write_report(&sizes);
 }

@@ -85,16 +85,6 @@ struct Case {
     dispatched_ns: f64,
 }
 
-/// The timing budget: [`BUDGET`] scaled by `CRITERION_SHIM_SCALE`.
-fn budget() -> Duration {
-    let scale = std::env::var("CRITERION_SHIM_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(1.0);
-    BUDGET.mul_f64(scale)
-}
-
 /// Runs a device's bulk iterations against a real pool and records the
 /// walks of [`WALKS`] of them, after the first `skip`, as
 /// `(start tracker, target)` pairs.
@@ -166,7 +156,7 @@ fn time_walk<T: SearchTracker + Clone>(start: &T, target: &BitVec, walk: Walk<T>
 fn time_pairs<T: SearchTracker + Clone>(walks: &[(T, BitVec)]) -> (Duration, Duration, usize) {
     let arms: [Walk<T>; 2] = [straight_search_reference::<T>, straight_search::<T>];
     let mut best = vec![[Duration::MAX; 2]; walks.len()];
-    let budget = budget();
+    let budget = abs_bench::scaled_budget(BUDGET);
     let clock = Instant::now();
     let mut rounds = 0;
     while rounds < MIN_ROUNDS || clock.elapsed() < budget {

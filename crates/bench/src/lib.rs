@@ -28,6 +28,20 @@ pub mod experiments;
 pub mod table;
 
 use std::path::Path;
+use std::time::Duration;
+
+/// `base` scaled by `CRITERION_SHIM_SCALE` (a positive float, default
+/// 1): the timing budget of the benches that time their own paired
+/// rounds, shrunk by the knob that shrinks the criterion-shim benches.
+#[must_use]
+pub fn scaled_budget(base: Duration) -> Duration {
+    let scale = std::env::var("CRITERION_SHIM_SCALE")
+        .ok()
+        .and_then(|v| v.parse::<f64>().ok())
+        .filter(|v| *v > 0.0)
+        .unwrap_or(1.0);
+    base.mul_f64(scale)
+}
 
 /// Writes a serializable experiment result as pretty JSON under `dir`.
 ///

@@ -6,7 +6,8 @@
 //! [`qubo::ContentHash`] — the canonical digest of `n` plus the upper
 //! triangle of `W` — and hold
 //!
-//! * the decoded, padded/aligned [`Qubo`] behind an [`Arc`], so a
+//! * the decoded [`Qubo`] behind an [`Arc`] (in the form it was
+//!   decoded in, plus whatever form a session derived from it), so a
 //!   repeat submission of the same matrix reuses one allocation
 //!   (request dedup of the decode product), and
 //! * up to [`ProblemCache::MAX_SEEDS`] distinct best solutions seen so
@@ -26,7 +27,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// What a cache hit hands the solver.
 #[derive(Clone, Debug)]
 pub struct CacheHit {
-    /// The cached decode of the instance (same padded layout every
+    /// The cached decode of the instance (the same allocation every
     /// time).
     pub problem: Arc<Qubo>,
     /// Prior incumbents, best first — the GA pool's warm seeds.

@@ -140,7 +140,7 @@ impl AbsSession {
     /// Starts a fresh session: validates the configuration, seeds the
     /// pool and every device's target buffer, picks the storage arm once
     /// ([`DeviceMatrix::from_problem`]), and spawns the device threads. The
-    /// session shares `qubo` (or its one CSR conversion) with every
+    /// session shares `qubo` (or the CSR form it holds) with every
     /// device; nothing is copied.
     ///
     /// # Errors

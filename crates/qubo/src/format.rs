@@ -11,11 +11,12 @@
 //! `i j w` sets `W_ij = W_ji = w`, contributing `2·w` to `E(X)` when
 //! both bits are set.
 //!
-//! Two readers exist per input format: [`parse`] densifies into a
-//! [`Qubo`] (O(n²) memory), while [`parse_sparse`] and
-//! [`parse_edge_list`] build the CSR [`SparseQubo`] directly in O(nnz)
-//! memory — the intended path for the large low-density instances the
-//! sparse flip tier targets.
+//! Every reader folds the triplets in O(n + nnz) memory: [`parse`]
+//! returns a CSR-built [`Qubo`] (dense rows only if something asks for
+//! them, [`Qubo::dense`]), while [`parse_sparse`] and
+//! [`parse_edge_list`] return the bare CSR [`SparseQubo`] — the intended
+//! path for the large low-density instances the sparse flip tier
+//! targets.
 
 use crate::matrix::{check_size, Qubo, QuboError};
 use crate::sparse::SparseQubo;
@@ -65,8 +66,8 @@ pub fn parse(text: &str) -> Result<Qubo, ParseError> {
     Qubo::from_triplets(n, &triplets).map_err(ParseError::Problem)
 }
 
-/// Parses a `.qubo` document straight into CSR form without building the
-/// dense matrix — O(nnz) memory instead of O(n²).
+/// Parses a `.qubo` document straight into a bare CSR matrix — O(nnz)
+/// memory, like [`parse`], without the [`Qubo`] wrapper.
 ///
 /// Accepts the same documents as [`parse`] with identical semantics:
 /// duplicate triplets (in either orientation) fold by accumulation, and
@@ -222,10 +223,8 @@ pub fn to_string(q: &Qubo) -> String {
             let _ = writeln!(out, "{i} {i} {}", q.diag(i));
         }
     }
-    for i in 0..n {
-        for (j, w) in q.row_nonzeros(i, i + 1) {
-            let _ = writeln!(out, "{i} {j} {w}");
-        }
+    for (i, j, w) in q.upper_cells().filter(|&(i, j, _)| i != j) {
+        let _ = writeln!(out, "{i} {j} {w}");
     }
     out
 }

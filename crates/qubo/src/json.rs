@@ -776,8 +776,9 @@ fn build_dense(n: usize, upper: Upper) -> Result<Qubo, JsonProblemError> {
 /// The `"edge-list"` encoding with the Max-Cut QUBO mapping of
 /// [`crate::format::parse_edge_list`]: duplicate edges fold by
 /// accumulation, and the accumulated cell must still fit `i16`. The
-/// edges fold in O(nnz) memory ([`Qubo::from_triplets`]); only the
-/// final dense matrix is O(n²).
+/// edges fold in O(n + nnz) memory into a CSR-built instance
+/// ([`Qubo::from_triplets`]), which stays sparse: nothing here writes an
+/// `n²` matrix.
 fn build_edge_list(n: usize, edges: Edges) -> Result<Qubo, JsonProblemError> {
     check_size(n)?;
     let mut triplets = Vec::with_capacity(edges.raw.len().saturating_mul(3));
@@ -809,7 +810,8 @@ fn build_edge_list(n: usize, edges: Edges) -> Result<Qubo, JsonProblemError> {
     Ok(Qubo::from_triplets(n, &triplets)?)
 }
 
-/// Parses a JSON problem payload into a dense [`Qubo`] in one pass.
+/// Parses a JSON problem payload into a [`Qubo`] in one pass: dense rows
+/// for the `"dense"` format, a CSR-built instance for `"edge-list"`.
 ///
 /// # Errors
 /// [`JsonProblemError`] on malformed JSON, an unknown `"format"`,

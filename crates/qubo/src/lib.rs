@@ -5,8 +5,9 @@
 //!
 //! * [`BitVec`] — a packed bit vector representing a candidate solution
 //!   `X = x_0 x_1 … x_{n-1}`.
-//! * [`Qubo`] — a dense symmetric weight matrix `W` of 16-bit weights with
-//!   the energy function `E(X) = Xᵀ W X` (Eq. (1) of the paper) and the
+//! * [`Qubo`] — a symmetric weight matrix `W` of 16-bit weights, held as
+//!   padded dense rows ([`DenseRows`]) or in CSR form ([`SparseQubo`]),
+//!   whichever its constructor received, with the energy function `E(X) = Xᵀ W X` (Eq. (1) of the paper) and the
 //!   per-bit energy difference `Δ_k(X) = E(flip_k(X)) − E(X)` (Eq. (4)).
 //! * [`Ising`] — the equivalent ±1-spin formulation and exact conversions
 //!   in both directions.
@@ -54,7 +55,7 @@ pub use bitvec::BitVec;
 pub use energy::{phi, Energy};
 pub use ising::Ising;
 pub use json::JsonProblemError;
-pub use matrix::{ContentHash, Qubo, QuboError, ROW_ALIGN_BYTES, ROW_LANE};
+pub use matrix::{ContentHash, DenseRows, Qubo, QuboError, ROW_ALIGN_BYTES, ROW_LANE};
 pub use sparse::SparseQubo;
 pub use stats::InstanceStats;
 pub use storage::{CouplingMatrix, MatrixStorage, SPARSE_DENSITY_PER_MILLE};

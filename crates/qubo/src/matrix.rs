@@ -1,4 +1,4 @@
-//! Dense symmetric QUBO weight matrices.
+//! Symmetric QUBO weight matrices and their dense storage form.
 
 use crate::bitvec::BitVec;
 use crate::energy::phi;
@@ -6,6 +6,7 @@ use crate::sparse::SparseQubo;
 use crate::MAX_BITS;
 use rand::Rng;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Errors produced when constructing a [`Qubo`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,37 +68,22 @@ pub(crate) fn check_size(n: usize) -> Result<(), QuboError> {
     Ok(())
 }
 
-/// Allocates a zeroed padded backing buffer for an `n`-bit problem:
-/// `(stride, element offset of row 0, buffer)`. The buffer is
-/// over-allocated by `ROW_LANE − 1` elements so the offset can align
-/// row 0 to [`ROW_ALIGN_BYTES`] without unsafe allocation APIs.
-fn padded_alloc(n: usize) -> (usize, usize, Box<[i16]>) {
-    let stride = n.div_ceil(ROW_LANE) * ROW_LANE;
-    let w = vec![0i16; n * stride + ROW_LANE - 1].into_boxed_slice();
-    // `Box<[i16]>` is at least 2-byte aligned, so the byte remainder is
-    // even and the element offset lands in 0..ROW_LANE.
-    let addr = w.as_ptr() as usize;
-    let off = ((ROW_ALIGN_BYTES - addr % ROW_ALIGN_BYTES) % ROW_ALIGN_BYTES) / 2;
-    (stride, off, w)
-}
-
-/// An instance of a QUBO problem: an `n × n` symmetric matrix of 16-bit
-/// weights `W = (W_ij)`, stored dense row-major.
+/// The dense storage form of a [`Qubo`]: all `n × n` weights, row-major.
 ///
-/// The objective is to find an `n`-bit vector `X` minimizing
-/// `E(X) = Xᵀ W X = Σ_{i,j} W_ij x_i x_j` (Eq. (1)).
-///
-/// The dense layout mirrors the GPU global-memory layout in the paper:
-/// the hot operation of the incremental search is reading one full row
-/// `W_k` contiguously (symmetry makes the column `W_{·k}` equal to the
-/// row `W_{k·}`). Deviating from the paper's plain `n × n` square, rows
-/// are stored at a stride rounded up to [`ROW_LANE`] elements with row 0
+/// The layout mirrors the GPU global-memory layout in the paper: the hot
+/// operation of the incremental search is reading one full row `W_k`
+/// contiguously (symmetry makes the column `W_{·k}` equal to the row
+/// `W_{k·}`). Deviating from the paper's plain `n × n` square, rows are
+/// stored at a stride rounded up to [`ROW_LANE`] elements with row 0
 /// aligned to [`ROW_ALIGN_BYTES`]; the padding tail of every row is
-/// zero. [`Qubo::row`] still returns exactly the `n` logical weights,
-/// while [`Qubo::row_padded`] exposes the full stride for lane-wise
+/// zero. [`DenseRows::row`] returns exactly the `n` logical weights,
+/// while [`DenseRows::row_padded`] exposes the full stride for lane-wise
 /// kernels (see DESIGN.md: zero pad weights contribute nothing to any
 /// Δ, so Lemmas 1–3 accounting is unchanged).
-pub struct Qubo {
+///
+/// Obtained through [`Qubo::dense`]; the flip kernels hold this view, so
+/// the per-flip path never reaches the code that builds it.
+pub struct DenseRows {
     n: usize,
     /// Elements between consecutive row starts (`ROW_LANE` multiple).
     stride: usize,
@@ -106,105 +92,41 @@ pub struct Qubo {
     w: Box<[i16]>,
 }
 
-impl Clone for Qubo {
+impl Clone for DenseRows {
     fn clone(&self) -> Self {
         // A fresh allocation lands at a different address, so the
         // aligning offset must be recomputed and rows re-copied; a
         // derived byte-for-byte clone would silently misalign.
-        let (stride, off, mut w) = padded_alloc(self.n);
+        let mut c = Self::zeroed(self.n);
         for k in 0..self.n {
-            let base = off + k * stride;
-            w[base..base + self.n].copy_from_slice(self.row(k));
+            let base = c.idx(k, 0);
+            c.w[base..base + self.n].copy_from_slice(self.row(k));
         }
-        Self {
-            n: self.n,
-            stride,
-            off,
-            w,
-        }
+        c
     }
 }
 
-impl PartialEq for Qubo {
-    fn eq(&self, other: &Self) -> bool {
-        // Logical equality: the aligning offset (and thus the slack
-        // region) differs between allocations of equal problems.
-        self.n == other.n && (0..self.n).all(|k| self.row(k) == other.row(k))
-    }
-}
-
-impl Eq for Qubo {}
-
-impl Default for Qubo {
-    /// The 1-bit all-zero instance: the smallest valid problem, for
-    /// placeholders that must hold some matrix.
-    fn default() -> Self {
-        Self::fill_upper(1, |_| {})
-    }
-}
-
-impl Qubo {
-    /// Creates a QUBO with all-zero weights.
-    ///
-    /// # Errors
-    /// Returns [`QuboError::BadSize`] if `n == 0` or `n > MAX_BITS`.
-    pub fn zero(n: usize) -> Result<Self, QuboError> {
-        check_size(n)?;
-        let (stride, off, w) = padded_alloc(n);
-        Ok(Self { n, stride, off, w })
-    }
-
-    /// Creates a QUBO from a dense row-major matrix, validating symmetry.
-    ///
-    /// # Errors
-    /// [`QuboError::BadShape`] if `w.len() != n²`,
-    /// [`QuboError::NotSymmetric`] if `w[i][j] != w[j][i]`.
-    pub fn from_dense(n: usize, w: Vec<i16>) -> Result<Self, QuboError> {
-        check_size(n)?;
-        if w.len() != n * n {
-            return Err(QuboError::BadShape {
-                got: w.len(),
-                expected: n * n,
-            });
-        }
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if w[i * n + j] != w[j * n + i] {
-                    return Err(QuboError::NotSymmetric(i, j));
-                }
-            }
-        }
-        let mut q = Self::zero(n)?;
-        for k in 0..n {
-            let base = q.off + k * q.stride;
-            q.w[base..base + n].copy_from_slice(&w[k * n..(k + 1) * n]);
-        }
-        Ok(q)
-    }
-
-    /// Creates a QUBO from fixed-size rows — convenient in tests and docs.
-    ///
-    /// # Errors
-    /// Same as [`Qubo::from_dense`].
-    pub fn from_rows<const N: usize>(n: usize, rows: &[[i16; N]]) -> Result<Self, QuboError> {
-        let mut w = Vec::with_capacity(n * n);
-        for row in rows {
-            w.extend_from_slice(row);
-        }
-        Self::from_dense(n, w)
+impl DenseRows {
+    /// All-zero rows for an `n`-bit problem (`n` already checked). The
+    /// buffer is over-allocated by `ROW_LANE − 1` elements so the offset
+    /// can align row 0 to [`ROW_ALIGN_BYTES`] without unsafe allocation
+    /// APIs.
+    fn zeroed(n: usize) -> Self {
+        let stride = n.div_ceil(ROW_LANE) * ROW_LANE;
+        let w = vec![0i16; n * stride + ROW_LANE - 1].into_boxed_slice();
+        // `Box<[i16]>` is at least 2-byte aligned, so the byte remainder
+        // is even and the element offset lands in 0..ROW_LANE.
+        let addr = w.as_ptr() as usize;
+        let off = ((ROW_ALIGN_BYTES - addr % ROW_ALIGN_BYTES) % ROW_ALIGN_BYTES) / 2;
+        Self { n, stride, off, w }
     }
 
     /// Densifies a CSR instance: one zeroed padded allocation, then one
     /// write per stored entry — O(nnz) work on top of the allocation,
     /// whose untouched pages stay zero.
-    #[must_use]
-    pub fn from_sparse(s: &SparseQubo) -> Self {
-        // A `SparseQubo` only exists for sizes in 1..=MAX_BITS, so no
-        // size check is needed here.
-        let n = s.n();
-        let (stride, off, w) = padded_alloc(n);
-        let mut q = Self { n, stride, off, w };
-        for i in 0..n {
+    fn from_csr(s: &SparseQubo) -> Self {
+        let mut q = Self::zeroed(s.n());
+        for i in 0..q.n {
             let d = q.idx(i, i);
             q.w[d] = s.diag(i);
             let base = q.idx(i, 0);
@@ -216,51 +138,11 @@ impl Qubo {
         q
     }
 
-    /// Builds an instance from `(i, j, w)` triplets with the
-    /// [`SparseQubo::from_triplets`] semantics: either triangle order,
-    /// duplicates summed, an accumulated weight outside `i16` reported
-    /// as [`QuboError::WeightOverflow`] at its first cell in row-major
-    /// order. Memory stays O(nnz) until the dense matrix itself is
-    /// allocated.
-    ///
-    /// # Errors
-    /// As [`SparseQubo::from_triplets`].
-    pub fn from_triplets(n: usize, triplets: &[(usize, usize, i16)]) -> Result<Self, QuboError> {
-        SparseQubo::from_triplets(n, triplets).map(|s| Self::from_sparse(&s))
-    }
-
-    /// Builds an instance from the row-major upper triangle of `W`
-    /// (diagonal included, `n·(n+1)/2` weights): each row's upper part
-    /// is copied in whole, then the lower triangle is mirrored in
-    /// 64 × 64 tiles so both the reads and the strided writes stay
-    /// cache-resident.
-    ///
-    /// # Errors
-    /// [`QuboError::BadSize`] for an out-of-range `n`,
-    /// [`QuboError::BadShape`] if `upper.len() != n·(n+1)/2`.
-    pub fn from_upper(n: usize, upper: &[i16]) -> Result<Self, QuboError> {
-        check_size(n)?;
-        let expected = n * (n + 1) / 2;
-        if upper.len() != expected {
-            return Err(QuboError::BadShape {
-                got: upper.len(),
-                expected,
-            });
-        }
-        let mut rest = upper;
-        Ok(Self::fill_upper(n, |row| {
-            let (head, tail) = rest.split_at(row.len());
-            row.copy_from_slice(head);
-            rest = tail;
-        }))
-    }
-
     /// Allocates an `n`-bit instance (`n` already checked), lets `fill`
     /// write each row's upper part `W_i,i..n` in row order, and
     /// mirrors the lower triangle from it.
     fn fill_upper(n: usize, mut fill: impl FnMut(&mut [i16])) -> Self {
-        let (stride, off, w) = padded_alloc(n);
-        let mut q = Self { n, stride, off, w };
+        let mut q = Self::zeroed(n);
         for i in 0..n {
             let (a, b) = (q.idx(i, i), q.idx(i, n));
             fill(&mut q.w[a..b]);
@@ -279,20 +161,6 @@ impl Qubo {
         q
     }
 
-    /// Creates a synthetic random problem: every weight drawn uniformly
-    /// from the full 16-bit range `[-32768, 32767]` with `W_ij = W_ji`
-    /// (§4.1.3 of the paper). Weights are drawn row by row over the
-    /// upper triangle (`i ≤ j`).
-    ///
-    /// # Panics
-    /// Panics if `n` is out of range (synthetic generators are test/bench
-    /// entry points where a panic is the right failure mode).
-    pub fn random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
-        // abs-lint: allow(no-unwrap) -- documented Panics contract: synthetic generator entry point
-        check_size(n).expect("size in range");
-        Self::fill_upper(n, |row| row.iter_mut().for_each(|v| *v = rng.gen()))
-    }
-
     /// Number of bits (variables) `n`.
     #[must_use]
     #[inline]
@@ -307,15 +175,12 @@ impl Qubo {
     }
 
     /// Weight `W_ij`.
-    #[must_use]
     #[inline]
-    pub fn get(&self, i: usize, j: usize) -> i16 {
+    pub(crate) fn get(&self, i: usize, j: usize) -> i16 {
         self.w[self.idx(i, j)]
     }
 
-    /// Sets `W_ij` and `W_ji` simultaneously, keeping the matrix symmetric.
-    #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: i16) {
+    fn set(&mut self, i: usize, j: usize, v: i16) {
         let a = self.idx(i, j);
         let b = self.idx(j, i);
         self.w[a] = v;
@@ -332,9 +197,10 @@ impl Qubo {
     }
 
     /// Row `W_k` including its zero padding tail: length
-    /// [`Qubo::stride`], starting on a [`ROW_ALIGN_BYTES`] boundary.
-    /// Lane-wise kernels read this so fixed-width chunks never straddle
-    /// a row; the pad weights are zero and contribute nothing to any Δ.
+    /// [`DenseRows::stride`], starting on a [`ROW_ALIGN_BYTES`]
+    /// boundary. Lane-wise kernels read this so fixed-width chunks never
+    /// straddle a row; the pad weights are zero and contribute nothing
+    /// to any Δ.
     #[must_use]
     #[inline]
     pub fn row_padded(&self, k: usize) -> &[i16] {
@@ -355,14 +221,6 @@ impl Qubo {
     #[inline]
     pub fn diag(&self, k: usize) -> i16 {
         self.w[self.idx(k, k)]
-    }
-
-    /// Number of non-zero off-diagonal couplers `(i < j)`.
-    #[must_use]
-    pub fn coupler_count(&self) -> usize {
-        (0..self.n)
-            .map(|i| self.row_nonzeros(i, i + 1).count())
-            .sum()
     }
 
     /// The non-zero weights `(j, W_kj)` of row `k` with `j ≥ from`, in
@@ -390,16 +248,14 @@ impl Qubo {
             })
     }
 
-    /// Reference energy function `E(X) = Σ_{i,j} W_ij x_i x_j` (Eq. (1)).
-    ///
-    /// O(|ones|²) — used for initialization, verification, and as the
-    /// "naive" cost model; the incremental search never calls it.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != n`.
-    #[must_use]
-    pub fn energy(&self, x: &BitVec) -> i64 {
-        assert_eq!(x.len(), self.n, "solution length mismatch");
+    /// The non-zero upper-triangle cells `(i, j, W_ij)`, `i ≤ j`, in
+    /// row-major order.
+    fn upper_cells(&self) -> impl Iterator<Item = (usize, usize, i16)> + '_ {
+        (0..self.n).flat_map(move |i| self.row_nonzeros(i, i).map(move |(j, w)| (i, j, w)))
+    }
+
+    /// O(|ones|²) reference energy over the rows.
+    fn energy(&self, x: &BitVec) -> i64 {
         let ones: Vec<usize> = x.iter_ones().collect();
         let mut e = 0i64;
         for &i in &ones {
@@ -411,6 +267,335 @@ impl Qubo {
         e
     }
 
+    /// Bytes of the padded backing buffer.
+    fn heap_bytes(&self) -> usize {
+        self.w.len() * std::mem::size_of::<i16>()
+    }
+}
+
+/// The weights in the form the constructor received, plus the other
+/// form once something has asked for it.
+#[derive(Clone)]
+enum Weights {
+    /// Built dense; the CSR form is derived on first sparse use.
+    Dense {
+        rows: DenseRows,
+        csr: OnceLock<Arc<SparseQubo>>,
+    },
+    /// Built from CSR; the dense rows are derived on first dense use.
+    Sparse {
+        csr: Arc<SparseQubo>,
+        rows: OnceLock<DenseRows>,
+    },
+}
+
+/// An instance of a QUBO problem: an `n × n` symmetric matrix of 16-bit
+/// weights `W = (W_ij)`.
+///
+/// The objective is to find an `n`-bit vector `X` minimizing
+/// `E(X) = Xᵀ W X = Σ_{i,j} W_ij x_i x_j` (Eq. (1)).
+///
+/// An instance keeps its weights in the form its constructor received:
+/// padded dense rows ([`DenseRows`]) from [`Qubo::zero`],
+/// [`Qubo::from_dense`], [`Qubo::from_upper`] and [`Qubo::random`]; one
+/// shared CSR matrix ([`SparseQubo`]) from [`Qubo::from_triplets`] and
+/// [`Qubo::from_sparse`]. The other form is derived at most once, on
+/// first use ([`Qubo::dense`], [`Qubo::csr`]), and kept. Queries that do
+/// not depend on the layout — [`Qubo::get`], [`Qubo::diag`],
+/// [`Qubo::energy`], [`Qubo::coupler_count`], [`Qubo::content_hash`],
+/// `==` — answer from the form the constructor built, so a sparse
+/// instance that only ever meets the CSR flip tier never costs `n²`
+/// memory.
+#[derive(Clone)]
+pub struct Qubo {
+    n: usize,
+    weights: Weights,
+}
+
+impl PartialEq for Qubo {
+    fn eq(&self, other: &Self) -> bool {
+        // Logical equality over the canonical cell stream: storage form,
+        // stride and alignment never enter it.
+        self.n == other.n && self.upper_cells().eq(other.upper_cells())
+    }
+}
+
+impl Eq for Qubo {}
+
+impl Default for Qubo {
+    /// The 1-bit all-zero instance: the smallest valid problem, for
+    /// placeholders that must hold some matrix.
+    fn default() -> Self {
+        Self::with_rows(DenseRows::zeroed(1))
+    }
+}
+
+impl Qubo {
+    /// A dense-built instance.
+    fn with_rows(rows: DenseRows) -> Self {
+        Self {
+            n: rows.n,
+            weights: Weights::Dense {
+                rows,
+                csr: OnceLock::new(),
+            },
+        }
+    }
+
+    /// A CSR-built instance.
+    fn with_csr(csr: Arc<SparseQubo>) -> Self {
+        Self {
+            n: csr.n(),
+            weights: Weights::Sparse {
+                csr,
+                rows: OnceLock::new(),
+            },
+        }
+    }
+
+    /// Creates a QUBO with all-zero weights.
+    ///
+    /// # Errors
+    /// Returns [`QuboError::BadSize`] if `n == 0` or `n > MAX_BITS`.
+    pub fn zero(n: usize) -> Result<Self, QuboError> {
+        check_size(n)?;
+        Ok(Self::with_rows(DenseRows::zeroed(n)))
+    }
+
+    /// Creates a QUBO from a dense row-major matrix, validating symmetry.
+    ///
+    /// # Errors
+    /// [`QuboError::BadShape`] if `w.len() != n²`,
+    /// [`QuboError::NotSymmetric`] if `w[i][j] != w[j][i]`.
+    pub fn from_dense(n: usize, w: Vec<i16>) -> Result<Self, QuboError> {
+        check_size(n)?;
+        if w.len() != n * n {
+            return Err(QuboError::BadShape {
+                got: w.len(),
+                expected: n * n,
+            });
+        }
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if w[i * n + j] != w[j * n + i] {
+                    return Err(QuboError::NotSymmetric(i, j));
+                }
+            }
+        }
+        let mut rows = DenseRows::zeroed(n);
+        for k in 0..n {
+            let base = rows.idx(k, 0);
+            rows.w[base..base + n].copy_from_slice(&w[k * n..(k + 1) * n]);
+        }
+        Ok(Self::with_rows(rows))
+    }
+
+    /// Creates a QUBO from fixed-size rows — convenient in tests and docs.
+    ///
+    /// # Errors
+    /// Same as [`Qubo::from_dense`].
+    pub fn from_rows<const N: usize>(n: usize, rows: &[[i16; N]]) -> Result<Self, QuboError> {
+        let mut w = Vec::with_capacity(n * n);
+        for row in rows {
+            w.extend_from_slice(row);
+        }
+        Self::from_dense(n, w)
+    }
+
+    /// A CSR-built instance holding a copy of `s`: O(n + nnz), no dense
+    /// rows until something asks for them ([`Qubo::dense`]).
+    #[must_use]
+    pub fn from_sparse(s: &SparseQubo) -> Self {
+        Self::with_csr(Arc::new(s.clone()))
+    }
+
+    /// Builds an instance from `(i, j, w)` triplets with the
+    /// [`SparseQubo::from_triplets`] semantics: either triangle order,
+    /// duplicates summed, an accumulated weight outside `i16` reported
+    /// as [`QuboError::WeightOverflow`] at its first cell in row-major
+    /// order. The instance is CSR-built: memory stays O(n + nnz) until
+    /// something asks for the dense rows ([`Qubo::dense`]).
+    ///
+    /// # Errors
+    /// As [`SparseQubo::from_triplets`].
+    pub fn from_triplets(n: usize, triplets: &[(usize, usize, i16)]) -> Result<Self, QuboError> {
+        SparseQubo::from_triplets(n, triplets).map(|s| Self::with_csr(Arc::new(s)))
+    }
+
+    /// Builds an instance from the row-major upper triangle of `W`
+    /// (diagonal included, `n·(n+1)/2` weights): each row's upper part
+    /// is copied in whole, then the lower triangle is mirrored in
+    /// 64 × 64 tiles so both the reads and the strided writes stay
+    /// cache-resident.
+    ///
+    /// # Errors
+    /// [`QuboError::BadSize`] for an out-of-range `n`,
+    /// [`QuboError::BadShape`] if `upper.len() != n·(n+1)/2`.
+    pub fn from_upper(n: usize, upper: &[i16]) -> Result<Self, QuboError> {
+        check_size(n)?;
+        let expected = n * (n + 1) / 2;
+        if upper.len() != expected {
+            return Err(QuboError::BadShape {
+                got: upper.len(),
+                expected,
+            });
+        }
+        let mut rest = upper;
+        Ok(Self::with_rows(DenseRows::fill_upper(n, |row| {
+            let (head, tail) = rest.split_at(row.len());
+            row.copy_from_slice(head);
+            rest = tail;
+        })))
+    }
+
+    /// Creates a synthetic random problem: every weight drawn uniformly
+    /// from the full 16-bit range `[-32768, 32767]` with `W_ij = W_ji`
+    /// (§4.1.3 of the paper). Weights are drawn row by row over the
+    /// upper triangle (`i ≤ j`).
+    ///
+    /// # Panics
+    /// Panics if `n` is out of range (synthetic generators are test/bench
+    /// entry points where a panic is the right failure mode).
+    pub fn random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
+        // abs-lint: allow(no-unwrap) -- documented Panics contract: synthetic generator entry point
+        check_size(n).expect("size in range");
+        Self::with_rows(DenseRows::fill_upper(n, |row| {
+            row.iter_mut().for_each(|v| *v = rng.gen());
+        }))
+    }
+
+    /// Number of bits (variables) `n`.
+    #[must_use]
+    #[inline]
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// The padded dense rows, built from the CSR form on the first call
+    /// for a CSR-built instance (O(n²) memory, O(nnz) writes) and kept.
+    #[must_use]
+    pub fn dense(&self) -> &DenseRows {
+        match &self.weights {
+            Weights::Dense { rows, .. } => rows,
+            Weights::Sparse { csr, rows } => rows.get_or_init(|| DenseRows::from_csr(csr)),
+        }
+    }
+
+    /// The shared CSR form, built from the dense rows on the first call
+    /// for a dense-built instance (an O(n²) chunked scan) and kept.
+    #[must_use]
+    pub fn csr(&self) -> &Arc<SparseQubo> {
+        match &self.weights {
+            Weights::Sparse { csr, .. } => csr,
+            Weights::Dense { rows, csr } => {
+                csr.get_or_init(|| Arc::new(SparseQubo::from_rows(rows)))
+            }
+        }
+    }
+
+    /// The CSR form if the instance holds one already.
+    pub(crate) fn held_csr(&self) -> Option<&SparseQubo> {
+        match &self.weights {
+            Weights::Sparse { csr, .. } => Some(csr),
+            Weights::Dense { csr, .. } => csr.get().map(|s| &**s),
+        }
+    }
+
+    /// Weight `W_ij`: an index into the dense rows, or a binary search
+    /// of CSR row `i` on a CSR-built instance.
+    #[must_use]
+    #[inline]
+    pub fn get(&self, i: usize, j: usize) -> i16 {
+        match &self.weights {
+            Weights::Dense { rows, .. } => rows.get(i, j),
+            Weights::Sparse { csr, .. } => csr.get(i, j),
+        }
+    }
+
+    /// Sets `W_ij` and `W_ji` simultaneously, keeping the matrix
+    /// symmetric. The instance becomes dense-built (densifying a
+    /// CSR-built one first) and drops any CSR form, which would be
+    /// stale.
+    pub fn set(&mut self, i: usize, j: usize, v: i16) {
+        if let Weights::Sparse { csr, rows } = &mut self.weights {
+            let rows = rows.take().unwrap_or_else(|| DenseRows::from_csr(csr));
+            self.weights = Weights::Dense {
+                rows,
+                csr: OnceLock::new(),
+            };
+        }
+        if let Weights::Dense { rows, csr } = &mut self.weights {
+            csr.take();
+            rows.set(i, j, v);
+        }
+    }
+
+    /// Diagonal weight `W_kk` (equal to `Δ_k(0)`).
+    #[must_use]
+    #[inline]
+    pub fn diag(&self, k: usize) -> i16 {
+        match &self.weights {
+            Weights::Dense { rows, .. } => rows.diag(k),
+            Weights::Sparse { csr, .. } => csr.diag(k),
+        }
+    }
+
+    /// Number of non-zero off-diagonal couplers `(i < j)`: a chunked
+    /// scan of the dense rows, or O(1) on the CSR form.
+    #[must_use]
+    pub fn coupler_count(&self) -> usize {
+        match &self.weights {
+            Weights::Dense { rows, .. } => (0..self.n)
+                .map(|i| rows.row_nonzeros(i, i + 1).count())
+                .sum(),
+            // CSR stores both triangles; each coupler appears twice.
+            Weights::Sparse { csr, .. } => csr.nnz() / 2,
+        }
+    }
+
+    /// Heap bytes of the storage forms the instance holds: the one its
+    /// constructor built plus a derived one, if something asked for it.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        match &self.weights {
+            Weights::Dense { rows, csr } => {
+                rows.heap_bytes() + csr.get().map_or(0, |s| s.heap_bytes())
+            }
+            Weights::Sparse { csr, rows } => {
+                csr.heap_bytes() + rows.get().map_or(0, DenseRows::heap_bytes)
+            }
+        }
+    }
+
+    /// The non-zero upper-triangle cells `(i, j, W_ij)`, `i ≤ j`, in
+    /// row-major order, read from whichever form the instance was built
+    /// in — the canonical stream behind [`Qubo::content_hash`] and `==`.
+    pub(crate) fn upper_cells(&self) -> impl Iterator<Item = (usize, usize, i16)> + '_ {
+        let (rows, csr) = match &self.weights {
+            Weights::Dense { rows, .. } => (Some(rows), None),
+            Weights::Sparse { csr, .. } => (None, Some(&**csr)),
+        };
+        let dense = rows.into_iter().flat_map(DenseRows::upper_cells);
+        dense.chain(csr.into_iter().flat_map(SparseQubo::upper_cells))
+    }
+
+    /// Reference energy function `E(X) = Σ_{i,j} W_ij x_i x_j` (Eq. (1)):
+    /// O(|ones|²) over dense rows, O(n + nnz) over the CSR form.
+    ///
+    /// Used for initialization, verification, and as the "naive" cost
+    /// model; the incremental search never calls it.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != n`.
+    #[must_use]
+    pub fn energy(&self, x: &BitVec) -> i64 {
+        assert_eq!(x.len(), self.n, "solution length mismatch");
+        match &self.weights {
+            Weights::Dense { rows, .. } => rows.energy(x),
+            Weights::Sparse { csr, .. } => csr.energy(x),
+        }
+    }
+
     /// Reference `Δ_k(X) = E(flip_k(X)) − E(X)` computed directly from
     /// Eq. (4): `Δ_k = φ(x_k)·(2·Σ_{i≠k} W_ki x_i + W_kk)`. O(n).
     ///
@@ -420,13 +605,20 @@ impl Qubo {
     pub fn delta(&self, x: &BitVec, k: usize) -> i64 {
         assert_eq!(x.len(), self.n, "solution length mismatch");
         assert!(k < self.n, "bit index out of range");
-        let row = self.row(k);
-        let mut s = 0i64;
-        for i in x.iter_ones() {
-            if i != k {
-                s += i64::from(row[i]);
+        let s: i64 = match &self.weights {
+            Weights::Dense { rows, .. } => {
+                let row = rows.row(k);
+                x.iter_ones()
+                    .filter(|&i| i != k)
+                    .map(|i| i64::from(row[i]))
+                    .sum()
             }
-        }
+            Weights::Sparse { csr, .. } => csr
+                .row(k)
+                .filter(|&(j, _)| x.get(j))
+                .map(|(_, w)| i64::from(w))
+                .sum(),
+        };
         i64::from(phi(x.get(k))) * (2 * s + i64::from(self.diag(k)))
     }
 
@@ -434,15 +626,16 @@ impl Qubo {
     /// penalty weights: `Σ_{i,j} |W_ij|`.
     #[must_use]
     pub fn energy_bound(&self) -> i64 {
-        self.w.iter().map(|&v| i64::from(v).abs()).sum()
+        self.upper_cells()
+            .map(|(i, j, w)| i64::from(w).abs() * if i == j { 1 } else { 2 })
+            .sum()
     }
 
     /// The largest absolute weight `max |W_ij|`.
     #[must_use]
     pub fn max_abs_weight(&self) -> i64 {
-        self.w
-            .iter()
-            .map(|&v| i64::from(v).abs())
+        self.upper_cells()
+            .map(|(_, _, w)| i64::from(w).abs())
             .max()
             .unwrap_or(0)
     }
@@ -451,13 +644,14 @@ impl Qubo {
     /// instance: `n`, then one packed word `(i·n + j) << 16 | (W_ij as
     /// u16)` per non-zero upper-triangle cell `W_ij (i ≤ j)` in
     /// row-major order. Zero cells are implied by their absence, so the
-    /// digest costs a chunked zero scan plus O(non-zeros) absorptions.
-    /// Padding, stride and storage tier never enter the digest, so two
-    /// logically equal instances always hash equal regardless of how
-    /// they were built; any single-weight change — including a zero ↔
-    /// non-zero flip or moving a weight to another cell — changes the
-    /// absorbed stream and so the digest. (`i·n + j < 2³⁰` at
-    /// [`MAX_BITS`], so the packing is injective.)
+    /// digest costs a chunked zero scan of dense rows (or a walk of the
+    /// CSR form) plus O(non-zeros) absorptions. Padding, stride and
+    /// storage form never enter the digest, so two logically equal
+    /// instances always hash equal regardless of how they were built;
+    /// any single-weight change — including a zero ↔ non-zero flip or
+    /// moving a weight to another cell — changes the absorbed stream and
+    /// so the digest. (`i·n + j < 2³⁰` at [`MAX_BITS`], so the packing
+    /// is injective.)
     ///
     /// The construction is BLAKE-inspired but *not* cryptographic
     /// (this crate takes no dependencies): four independently seeded
@@ -468,14 +662,12 @@ impl Qubo {
     pub fn content_hash(&self) -> ContentHash {
         let mut lanes = ContentLanes::new();
         lanes.absorb(self.n as u64);
-        for i in 0..self.n {
-            for (j, w) in self.row_nonzeros(i, i) {
-                // Widen through u16 so the weight occupies exactly the
-                // low 16 bits, deterministically on every platform.
-                let cell = (i * self.n + j) as u64;
-                lanes.absorb(cell << 16 | u64::from(w as u16));
-            }
-        }
+        self.upper_cells().for_each(|(i, j, w)| {
+            // Widen through u16 so the weight occupies exactly the
+            // low 16 bits, deterministically on every platform.
+            let cell = (i * self.n + j) as u64;
+            lanes.absorb(cell << 16 | u64::from(w as u16));
+        });
         lanes.finish()
     }
 }
@@ -678,6 +870,90 @@ mod tests {
         assert_eq!(SparseQubo::from_dense(&q), s);
     }
 
+    /// Asserts that two instances agree on every storage-independent
+    /// query.
+    fn assert_twins(a: &Qubo, b: &Qubo) {
+        assert_eq!(a, b);
+        assert_eq!(b, a);
+        assert_eq!(a.content_hash(), b.content_hash());
+        assert_eq!(a.coupler_count(), b.coupler_count());
+        assert_eq!(a.energy_bound(), b.energy_bound());
+        assert_eq!(a.max_abs_weight(), b.max_abs_weight());
+        for k in 0..a.n() {
+            assert_eq!(a.diag(k), b.diag(k), "diag {k}");
+            for j in 0..a.n() {
+                assert_eq!(a.get(k, j), b.get(k, j), "W[{k}][{j}]");
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(4);
+        for _ in 0..8 {
+            let x = BitVec::random(a.n(), &mut rng);
+            assert_eq!(a.energy(&x), b.energy(&x));
+            for k in [0, a.n() / 2, a.n() - 1] {
+                assert_eq!(a.delta(&x, k), b.delta(&x, k));
+            }
+        }
+    }
+
+    #[test]
+    fn csr_and_dense_built_twins_agree_before_and_after_a_set() {
+        // Cells on both sides of a ROW_LANE chunk edge, both triangle
+        // orders, diagonals at either end.
+        let t = [
+            (0, 69, 3),
+            (33, 33, -2),
+            (5, 34, 1),
+            (40, 2, -7),
+            (69, 69, 4),
+        ];
+        let csr = Qubo::from_triplets(70, &t).unwrap();
+        let mut dense = Qubo::zero(70).unwrap();
+        for &(i, j, w) in &t {
+            dense.set(i, j, w);
+        }
+        let dense_bytes = dense.heap_bytes();
+        let held = csr.heap_bytes();
+        assert!(held < dense_bytes / 4, "CSR-built: {held} bytes");
+        assert_twins(&csr, &dense);
+        // None of those queries built another form of either twin.
+        assert_eq!(csr.heap_bytes(), held);
+        assert_eq!(dense.heap_bytes(), dense_bytes);
+
+        // A set densifies the CSR-built twin and keeps them equal.
+        let mut edited = csr.clone();
+        edited.set(1, 2, 9);
+        dense.set(1, 2, 9);
+        assert_eq!(edited.heap_bytes(), dense_bytes, "dense rows only");
+        assert_twins(&edited, &dense);
+        assert_ne!(edited, csr);
+        assert_ne!(edited.content_hash(), csr.content_hash());
+
+        // A set drops a derived CSR form, which would be stale.
+        assert_eq!(dense.csr().get(3, 4), 0);
+        dense.set(3, 4, 5);
+        assert_eq!(dense.csr().get(3, 4), 5);
+        assert_eq!(**dense.csr(), SparseQubo::from_dense(&dense));
+    }
+
+    #[test]
+    fn derived_forms_are_built_once_and_counted() {
+        let csr = Qubo::from_triplets(40, &[(0, 39, 3), (7, 7, -1)]).unwrap();
+        let sparse_only = csr.heap_bytes();
+        assert_eq!(sparse_only, csr.csr().heap_bytes());
+        let rows = csr.dense();
+        assert!(std::ptr::eq(rows, csr.dense()), "memoized");
+        assert_eq!(rows.get(39, 0), 3);
+        assert_eq!(
+            csr.heap_bytes(),
+            sparse_only + 40 * rows.stride() * 2 + 2 * (ROW_LANE - 1)
+        );
+
+        let dense = Qubo::zero(40).unwrap();
+        let before = dense.heap_bytes();
+        assert!(Arc::ptr_eq(dense.csr(), dense.csr()), "memoized");
+        assert_eq!(dense.heap_bytes(), before + dense.csr().heap_bytes());
+    }
+
     #[test]
     fn from_triplets_detects_overflow() {
         assert_eq!(
@@ -705,7 +981,7 @@ mod tests {
         assert_eq!(q.get(39, 0), 3);
         assert_eq!(q.diag(33), -2);
         for k in 0..40 {
-            let padded = q.row_padded(k);
+            let padded = q.dense().row_padded(k);
             assert_eq!(padded.as_ptr() as usize % ROW_ALIGN_BYTES, 0);
             assert!(padded[40..].iter().all(|&v| v == 0), "pad not zero");
         }
@@ -730,7 +1006,10 @@ mod tests {
             let q = Qubo::from_upper(n, &upper).unwrap();
             assert!(q == want, "n = {n}");
             for k in 0..n {
-                assert!(q.row_padded(k)[n..].iter().all(|&v| v == 0), "pad not zero");
+                assert!(
+                    q.dense().row_padded(k)[n..].iter().all(|&v| v == 0),
+                    "pad not zero"
+                );
             }
         }
         assert_eq!(
@@ -768,12 +1047,12 @@ mod tests {
         q.set(3, 31, -1);
         q.set(3, 32, 2);
         q.set(3, 99, 7);
-        let all: Vec<_> = q.row_nonzeros(3, 0).collect();
+        let all: Vec<_> = q.dense().row_nonzeros(3, 0).collect();
         assert_eq!(all, vec![(3, 4), (31, -1), (32, 2), (99, 7)]);
-        let tail: Vec<_> = q.row_nonzeros(3, 32).collect();
+        let tail: Vec<_> = q.dense().row_nonzeros(3, 32).collect();
         assert_eq!(tail, vec![(32, 2), (99, 7)]);
-        assert_eq!(q.row_nonzeros(0, 0).count(), 0);
-        assert_eq!(q.row_nonzeros(99, 99).count(), 0);
+        assert_eq!(q.dense().row_nonzeros(0, 0).count(), 0);
+        assert_eq!(q.dense().row_nonzeros(99, 99).count(), 0);
     }
 
     #[test]
@@ -804,7 +1083,7 @@ mod tests {
     #[test]
     fn row_is_contiguous_view() {
         let q = paper_fig1();
-        assert_eq!(q.row(2), &[0, 1, -8, 2]);
+        assert_eq!(q.dense().row(2), &[0, 1, -8, 2]);
     }
 
     #[test]
@@ -812,13 +1091,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         for n in [1, 4, 31, 32, 33, 100] {
             let q = Qubo::random(n, &mut rng);
-            assert_eq!(q.stride() % ROW_LANE, 0);
-            assert!(q.stride() >= n && q.stride() < n + ROW_LANE);
+            assert_eq!(q.dense().stride() % ROW_LANE, 0);
+            assert!(q.dense().stride() >= n && q.dense().stride() < n + ROW_LANE);
             for k in 0..n {
-                let padded = q.row_padded(k);
+                let padded = q.dense().row_padded(k);
                 assert_eq!(padded.as_ptr() as usize % ROW_ALIGN_BYTES, 0, "n={n} k={k}");
-                assert_eq!(padded.len(), q.stride());
-                assert_eq!(&padded[..n], q.row(k));
+                assert_eq!(padded.len(), q.dense().stride());
+                assert_eq!(&padded[..n], q.dense().row(k));
                 assert!(padded[n..].iter().all(|&v| v == 0), "pad not zero");
             }
         }
@@ -833,7 +1112,10 @@ mod tests {
         // The clone is re-aligned, so its rows satisfy the same
         // alignment contract regardless of the new allocation address.
         for k in 0..33 {
-            assert_eq!(c.row_padded(k).as_ptr() as usize % ROW_ALIGN_BYTES, 0);
+            assert_eq!(
+                c.dense().row_padded(k).as_ptr() as usize % ROW_ALIGN_BYTES,
+                0
+            );
         }
         let mut d = q.clone();
         d.set(0, 1, i16::MAX);

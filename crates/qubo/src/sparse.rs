@@ -8,7 +8,7 @@
 //! `qubo_search::sparse::SparseDeltaTracker`; the dense/sparse trade-off
 //! is measured in the `sparse_vs_dense` benchmark.
 
-use crate::matrix::{check_size, Qubo, QuboError};
+use crate::matrix::{check_size, DenseRows, Qubo, QuboError};
 use crate::{BitVec, Energy};
 
 /// A QUBO in compressed-sparse-row form: for each row `k`, the non-zero
@@ -27,10 +27,21 @@ pub struct SparseQubo {
 }
 
 impl SparseQubo {
-    /// Builds the sparse form of a dense instance: an O(n²) scan that
-    /// skips all-zero [`crate::ROW_LANE`] chunks, plus O(nnz) writes.
+    /// The sparse form of `q`: a copy of the CSR matrix it holds, if it
+    /// holds one, else built from its dense rows
+    /// ([`SparseQubo::from_rows`]) without keeping the result in `q`.
+    /// Never densifies a CSR-built instance.
     #[must_use]
     pub fn from_dense(q: &Qubo) -> Self {
+        match q.held_csr() {
+            Some(s) => s.clone(),
+            None => Self::from_rows(q.dense()),
+        }
+    }
+
+    /// Builds the sparse form of dense rows: an O(n²) scan that skips
+    /// all-zero [`crate::ROW_LANE`] chunks, plus O(nnz) writes.
+    pub(crate) fn from_rows(q: &DenseRows) -> Self {
         let n = q.n();
         let mut row_start = Vec::with_capacity(n + 1);
         let mut cols = Vec::new();
@@ -112,9 +123,11 @@ impl SparseQubo {
         // Pass 3: per row, check the diagonal (it precedes every
         // surviving column, since a column j < i of row i was already
         // checked as column i of row j), then fold each column's run.
+        // Folding only shrinks the entry count, so one exact-capacity
+        // allocation each holds every surviving column and weight.
         let mut row_start = Vec::with_capacity(n + 1);
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
+        let mut cols = Vec::with_capacity(entries.len());
+        let mut vals = Vec::with_capacity(entries.len());
         let mut diag = Vec::with_capacity(n);
         row_start.push(0u32);
         for i in 0..n {
@@ -193,6 +206,48 @@ impl SparseQubo {
         let hi = self.row_start[k + 1] as usize;
         // invariant: lo ≤ hi ≤ cols.len() = vals.len() by construction.
         (&self.cols[lo..hi], &self.vals[lo..hi])
+    }
+
+    /// Weight `W_ij`: the diagonal, or a binary search of row `i`'s
+    /// sorted columns (zero when `j` is not stored).
+    pub(crate) fn get(&self, i: usize, j: usize) -> i16 {
+        if i == j {
+            return self.diag(i);
+        }
+        let (cols, vals) = self.row_parts(i);
+        match cols.binary_search(&(j as u32)) {
+            // invariant: vals is parallel to cols, so a found index is
+            // in bounds of vals.
+            Ok(p) => vals[p],
+            Err(_) => 0,
+        }
+    }
+
+    /// The non-zero upper-triangle cells `(i, j, W_ij)`, `i ≤ j`, in
+    /// row-major order: per row the diagonal, then the stored columns
+    /// above it (columns are sorted).
+    pub(crate) fn upper_cells(&self) -> impl Iterator<Item = (usize, usize, i16)> + '_ {
+        (0..self.n).flat_map(move |i| {
+            let (cols, vals) = self.row_parts(i);
+            let above = cols.partition_point(|&c| (c as usize) < i);
+            // invariant: above ≤ cols.len() = vals.len() (partition_point).
+            let (cols, vals) = (&cols[above..], &vals[above..]);
+            let d = self.diag(i);
+            let diag = (d != 0).then_some((i, i, d));
+            diag.into_iter().chain(
+                cols.iter()
+                    .zip(vals)
+                    .map(move |(&j, &w)| (i, j as usize, w)),
+            )
+        })
+    }
+
+    /// Heap bytes of the CSR arrays (allocated capacity).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.row_start.capacity() * std::mem::size_of::<u32>()
+            + self.cols.capacity() * std::mem::size_of::<u32>()
+            + self.vals.capacity() * std::mem::size_of::<i16>()
+            + self.diag.capacity() * std::mem::size_of::<i16>()
     }
 
     /// Degree (non-zero off-diagonals) of row `k`.

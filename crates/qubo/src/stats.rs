@@ -31,9 +31,11 @@ pub struct InstanceStats {
 }
 
 impl InstanceStats {
-    /// Computes statistics for an instance. O(n²).
+    /// Computes statistics for an instance. O(n²) over the dense rows
+    /// ([`Qubo::dense`]).
     #[must_use]
     pub fn of(q: &Qubo) -> Self {
+        let rows = q.dense();
         let n = q.n();
         let mut couplers = 0usize;
         let mut diagonals = 0usize;
@@ -43,7 +45,7 @@ impl InstanceStats {
         let mut count_nonzero = 0u64;
         let mut max_abs_delta = 0i64;
         for i in 0..n {
-            let row = q.row(i);
+            let row = rows.row(i);
             let mut row_abs = 0i64;
             for (j, &w) in row.iter().enumerate() {
                 min_w = min_w.min(w);

@@ -4,9 +4,13 @@
 //! call when 1024 threads amortize the O(n) traversal. This CPU
 //! reproduction instead carries *two* first-class storage arms:
 //!
-//! * **Dense** — the padded row-major [`Qubo`] behind the SIMD flip tier
-//!   (O(n) per flip, lane-parallel).
+//! * **Dense** — the padded row-major [`crate::DenseRows`] behind the
+//!   SIMD flip tier (O(n) per flip, lane-parallel).
 //! * **Sparse** — the CSR [`SparseQubo`] behind the O(degree) flip tier.
+//!
+//! A [`Qubo`] holds whichever form its constructor received and derives
+//! the other on first use, so the dispatch picks a form rather than
+//! converting one.
 //!
 //! [`MatrixStorage`] is the runtime tag naming the arm a search actually
 //! ran on. Like `FlipKernel` in `qubo_search`, the chosen arm is recorded
@@ -40,8 +44,9 @@ pub trait CouplingMatrix {
     fn n(&self) -> usize;
 
     /// Number of non-zero off-diagonal couplers, counting each `{i, j}`
-    /// pair once. May cost a full scan on dense storage (O(n²)); called
-    /// once per dispatch, never per flip.
+    /// pair once. Costs a chunked scan of dense rows (O(n²/32) plus the
+    /// non-zeros) and O(1) on CSR; called once per dispatch, never per
+    /// flip.
     fn couplers(&self) -> usize;
 
     /// Diagonal weight `W_kk`.

@@ -106,7 +106,7 @@ fn full_energy_counted(q: &Qubo, x: &BitVec, stats: &mut SearchStats) -> Energy 
         if !x.get(i) {
             continue;
         }
-        let row = q.row(i);
+        let row = q.dense().row(i);
         for (j, &w) in row.iter().enumerate() {
             if x.get(j) {
                 e += i64::from(w);
@@ -179,7 +179,7 @@ pub fn algorithm2(
     for _ in 0..steps {
         let k = rng.gen_range(0..n);
         // Eq. (10): E(flip_k(X)) = E(X) + φ(x_k)(2·Σ_{j≠k} W_kj x_j + W_kk)
-        let row = q.row(k);
+        let row = q.dense().row(k);
         let mut s = 0i64;
         for (j, &w) in row.iter().enumerate() {
             if j != k && x.get(j) {
@@ -237,7 +237,7 @@ pub fn algorithm3(
 
     let apply_flip =
         |k: usize, x: &mut BitVec, e: &mut Energy, d: &mut Vec<i64>, stats: &mut SearchStats| {
-            let row = q.row(k);
+            let row = q.dense().row(k);
             let pk = i64::from(phi(x.get(k)));
             for i in 0..n {
                 if i != k {

@@ -799,7 +799,8 @@ mod tests {
     fn flip_update_matches_scalar_reference() {
         let mut rng = StdRng::seed_from_u64(31);
         for n in [1usize, 7, 8, 9, 31, 32, 33, 64, 65, 100] {
-            let q = Qubo::random(n, &mut rng);
+            let qubo = Qubo::random(n, &mut rng);
+            let q = qubo.dense();
             let x = BitVec::random(n, &mut rng);
             let stride = q.stride();
             let mut d0 = vec![0i32; stride];
@@ -865,7 +866,8 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(33);
         for n in [1usize, 31, 32, 63, 64, 65, 96, 130] {
-            let q = Qubo::random(n, &mut rng);
+            let qubo = Qubo::random(n, &mut rng);
+            let q = qubo.dense();
             let x = BitVec::random(n, &mut rng);
             let mut d0 = vec![i32::MAX; q.stride()];
             for v in &mut d0[..n] {

@@ -3,7 +3,7 @@
 use crate::policy::window_argmin;
 use crate::simd::{self, FlipKernel};
 use crate::straight::walk_bits;
-use qubo::{BitVec, Energy, Qubo};
+use qubo::{BitVec, DenseRows, Energy, Qubo};
 
 /// The incremental-search surface the bulk-search drivers are generic
 /// over: one per matrix-storage arm ([`DeltaTracker`] for the dense
@@ -163,6 +163,9 @@ fn first_index_of(d: &[i32], v: i32) -> usize {
 /// the exact form: candidates are `e_new` and `e_new + d_i` for all `i`.
 pub struct DeltaTracker<'a> {
     qubo: &'a Qubo,
+    /// The problem's padded rows, resolved once at construction so the
+    /// flip passes only read them.
+    rows: &'a DenseRows,
     x: BitVec,
     /// φ(x_i) ∈ {+1, −1}, kept in sync with `x` — the sign array makes
     /// the scalar hot update loop branch-free and auto-vectorizable
@@ -197,6 +200,7 @@ impl Clone for DeltaTracker<'_> {
         let (d, d_off) = aligned_d(stride, |i| self.d[self.d_off + i]);
         Self {
             qubo: self.qubo,
+            rows: self.rows,
             x: self.x.clone(),
             sign: self.sign.clone(),
             e: self.e,
@@ -224,14 +228,15 @@ impl<'a> DeltaTracker<'a> {
     /// and how benchmarks/tests pin an arm.
     #[must_use]
     pub fn with_kernel(qubo: &'a Qubo, kernel: FlipKernel) -> Self {
-        let n = qubo.n();
+        let rows = qubo.dense();
+        let n = rows.n();
         // Pad the Δ vector to the matrix row stride with i32::MAX
         // sentinels: lane-wise kernels then run uniform chunks, and a
         // sentinel can never win the running min strictly (the fold
         // always sees a real entry, see crate::simd).
-        let (d, d_off) = aligned_d(qubo.stride(), |i| {
+        let (d, d_off) = aligned_d(rows.stride(), |i| {
             if i < n {
-                i32::from(qubo.diag(i))
+                i32::from(rows.diag(i))
             } else {
                 i32::MAX
             }
@@ -239,6 +244,7 @@ impl<'a> DeltaTracker<'a> {
         let x = BitVec::zeros(n);
         let mut t = Self {
             qubo,
+            rows,
             best: x.clone(),
             x,
             sign: vec![1i8; n],
@@ -453,7 +459,7 @@ impl<'a> DeltaTracker<'a> {
             simd::flip_update(
                 self.kernel,
                 dv,
-                self.qubo.row_padded(k),
+                self.rows.row_padded(k),
                 self.x.words(),
                 k,
                 self.x.get(k),
@@ -478,7 +484,7 @@ impl<'a> DeltaTracker<'a> {
         let (min_d, next) = simd::flip_update_walk(
             self.kernel,
             dv,
-            self.qubo.row_padded(k),
+            self.rows.row_padded(k),
             self.x.words(),
             k,
             self.x.get(k),
@@ -528,7 +534,7 @@ impl<'a> DeltaTracker<'a> {
     /// Returns `min_i Δ_i` of the new state.
     fn scalar_update(&mut self, k: usize, d_k_new: i32) -> i32 {
         let n = self.n();
-        let row = self.qubo.row(k);
+        let row = self.rows.row(k);
         // Update half-loops (Eq. (16)), branch-free:
         //   d_i += 2 · W_ik · φ(x_i) · φ(x_k)
         // `two_pk = 2·φ(x_k)` is hoisted. Each half is a plain

@@ -155,8 +155,6 @@ struct Inner {
     queue: VecDeque<JobId>,
     next_id: JobId,
     draining: bool,
-    /// Σ [`JobStore::held_bytes`] over `jobs`.
-    retained: usize,
 }
 
 /// The shared job table: one mutex, one condvar.
@@ -189,14 +187,16 @@ impl JobStore {
         }
     }
 
-    /// Matrix bytes `job` keeps alive; the shared placeholder counts
-    /// nothing (the spec holds no request text, see `JobSpec::body`).
+    /// Matrix bytes `job` keeps alive ([`Qubo::heap_bytes`]: the form
+    /// it was decoded in, plus any form its session derived since); the
+    /// shared placeholder counts nothing (the spec holds no request
+    /// text, see `JobSpec::body`).
     fn held_bytes(&self, job: &Job) -> usize {
         let p = &job.spec.problem;
         if Arc::ptr_eq(p, &self.released) {
             0
         } else {
-            p.n() * p.stride() * std::mem::size_of::<i16>()
+            p.heap_bytes()
         }
     }
 
@@ -205,21 +205,21 @@ impl JobStore {
     /// terminal gives up its matrix.
     fn apply<R>(&self, g: &mut Inner, id: JobId, f: impl FnOnce(&mut Job) -> R) -> Option<R> {
         let job = g.jobs.get_mut(&id)?;
-        let before = self.held_bytes(job);
         let out = f(job);
         if job.phase.is_terminal() {
             job.spec.problem = Arc::clone(&self.released);
         }
-        let after = self.held_bytes(job);
-        g.retained = g.retained + after - before;
         Some(out)
     }
 
     /// Matrix bytes the store holds across all jobs — the
-    /// `abs_server_retained_bytes` gauge.
+    /// `abs_server_retained_bytes` gauge. Summed at each call, so a form
+    /// a running session derives (a CSR conversion, or dense rows for a
+    /// pinned dense arm) counts from then on.
     #[must_use]
     pub fn retained_bytes(&self) -> usize {
-        lock(&self.inner).retained
+        let g = lock(&self.inner);
+        g.jobs.values().map(|job| self.held_bytes(job)).sum()
     }
 
     /// Admits a job, or refuses when the queue is full / draining.
@@ -268,7 +268,6 @@ impl JobStore {
             problem_hash: None,
             warm_started: false,
         };
-        g.retained += self.held_bytes(&job);
         g.jobs.insert(id, job);
         g.queue.push_back(id);
         self.cv.notify_all();
@@ -524,11 +523,11 @@ mod tests {
             .unwrap()
     }
 
-    /// What one live job retains: its padded matrix, and no body.
+    /// What one live job retains: its decoded matrix, and no body.
     fn one_job_bytes() -> usize {
         let s = spec();
         assert!(s.body.is_empty(), "parse_spec copies no request text");
-        s.problem.n() * s.problem.stride() * 2
+        s.problem.heap_bytes()
     }
 
     #[test]
@@ -579,6 +578,38 @@ mod tests {
                 assert_eq!(j.spec.config.tenant, "default");
             })
             .unwrap();
+        assert_eq!(store.retained_bytes(), 0);
+    }
+
+    #[test]
+    fn edge_list_jobs_retain_their_csr_and_what_a_session_derives() {
+        let n = 4096;
+        let edge_list = || {
+            parse_spec(&format!(
+                r#"{{"problem": {{"format": "edge-list", "n": {n}, "edges": [[1, 2, 3], [4, 9, -1]]}}}}"#
+            ))
+            .unwrap()
+        };
+        let store = JobStore::new(4);
+        let csr_bytes = edge_list().problem.heap_bytes();
+        assert!(csr_bytes < 64 * n, "O(n + nnz), not n²: {csr_bytes}");
+        let id = store.submit(edge_list(), None, None).unwrap();
+        let queued = store.submit(edge_list(), None, None).unwrap();
+        assert_eq!(store.retained_bytes(), 2 * csr_bytes);
+        assert_eq!(store.claim_next(), Some(id));
+        // A session on the dense arm derives the rows; the gauge counts
+        // them from then on, and forgets both forms at the end.
+        let held = store
+            .with_job(id, |j| {
+                let _ = j.spec.problem.dense();
+                j.spec.problem.heap_bytes()
+            })
+            .unwrap();
+        assert!(held >= csr_bytes + 2 * n * n);
+        assert_eq!(store.retained_bytes(), held + csr_bytes);
+        store.update(id, |j| j.phase = JobPhase::Done);
+        assert_eq!(store.retained_bytes(), csr_bytes);
+        assert_eq!(store.cancel(queued), Some(JobPhase::Cancelled));
         assert_eq!(store.retained_bytes(), 0);
     }
 

@@ -14,7 +14,7 @@
 //!
 //! Before leasing, the worker digests the instance
 //! ([`qubo::Qubo::content_hash`]) and consults the shared
-//! [`abs::ProblemCache`]: a repeat submission reuses the cached padded
+//! [`abs::ProblemCache`]: a repeat submission reuses the cached decoded
 //! matrix and seeds the GA pool from the best solutions of earlier
 //! solves, so it starts from incumbents, not random bits. Finished
 //! jobs record their best back into the cache.
@@ -163,7 +163,7 @@ fn run_job(
         return;
     };
 
-    // Warm start: a repeat instance reuses the cached padded matrix
+    // Warm start: a repeat instance reuses the cached decoded matrix
     // and seeds the GA pool from prior incumbents. Resumed jobs skip
     // seeding — their checkpoint already carries a better pool.
     let hash = submitted.content_hash();

@@ -128,7 +128,7 @@ impl std::error::Error for ResolveError {}
 
 /// The instance a machine's devices search, in the storage arm picked
 /// once for the whole machine: every device of a sparse machine shares
-/// one CSR conversion instead of re-deriving its own.
+/// one CSR matrix, every device of a dense one the same padded rows.
 #[derive(Clone, Debug)]
 pub enum DeviceMatrix {
     /// Dense padded rows — the SIMD flip tier.
@@ -139,14 +139,20 @@ pub enum DeviceMatrix {
 
 impl DeviceMatrix {
     /// Runs the storage dispatch once ([`MatrixStorage::select`], by
-    /// measured coupler density, pinnable via `ABS_FORCE_DENSE` /
-    /// `ABS_FORCE_SPARSE`) and, on the sparse arm, the one CSR
-    /// conversion the devices share. The dense arm shares `q` itself.
+    /// coupler density, pinnable via `ABS_FORCE_DENSE` /
+    /// `ABS_FORCE_SPARSE`) and picks that form of `q`. The sparse arm
+    /// shares the CSR matrix `q` holds ([`Qubo::csr`], derived once for a
+    /// dense-built instance); the dense arm shares `q` itself, with its
+    /// rows built here ([`Qubo::dense`]), on the host, before any device
+    /// starts.
     #[must_use]
     pub fn from_problem(q: &Arc<Qubo>) -> Self {
         match MatrixStorage::select(q.as_ref()) {
-            MatrixStorage::Sparse => Self::Sparse(Arc::new(SparseQubo::from_dense(q))),
-            MatrixStorage::Dense => Self::Dense(Arc::clone(q)),
+            MatrixStorage::Sparse => Self::Sparse(Arc::clone(q.csr())),
+            MatrixStorage::Dense => {
+                let _ = q.dense();
+                Self::Dense(Arc::clone(q))
+            }
         }
     }
 

@@ -37,7 +37,7 @@ pub enum HealthStatus {
     },
     /// Every block is gone, or the device run exited while the host was
     /// still running (a device thread death the host would otherwise
-    /// discover only when `Machine::run` joins — i.e. never, if the host
+    /// discover only when it joins the machine — i.e. never, if the host
     /// loop is polling a frozen counter).
     Dead,
 }

@@ -55,15 +55,14 @@
 //!         ..DeviceConfig::default()
 //!     },
 //! });
-//! let best = machine.run(&DeviceMatrix::from_problem(&q), |mems| {
-//!     mems[0].push_target(BitVec::random(32, &mut rng));
-//!     loop {
-//!         if mems[0].counter() > 0 {
-//!             return mems[0].drain_results()[0].energy;
-//!         }
-//!         std::thread::yield_now();
-//!     }
-//! });
+//! let mut running = machine.start(DeviceMatrix::from_problem(&q));
+//! let mem = &running.mems()[0];
+//! mem.push_target(BitVec::random(32, &mut rng));
+//! while mem.counter() == 0 {
+//!     std::thread::yield_now();
+//! }
+//! let best = mem.drain_results()[0].energy;
+//! running.join();
 //! assert!(best <= 0);
 //! ```
 

@@ -56,47 +56,12 @@ impl Machine {
         self.devices.iter().map(|d| Arc::clone(d.mem())).collect()
     }
 
-    /// Runs all devices on `matrix` concurrently while executing `host` on
-    /// the calling thread. When `host` returns, the stop flag is raised
-    /// on every device and the call joins them before returning the
-    /// host's result.
-    ///
-    /// The host closure receives the device memories and is expected to
-    /// implement §3.1: poll counters, drain solution buffers, push
-    /// targets — and, if it wants to stop early, call
-    /// [`GlobalMem::request_stop`] itself (returning has the same
-    /// effect).
-    pub fn run<F, R>(&self, matrix: &DeviceMatrix, host: F) -> R
-    where
-        F: FnOnce(&[Arc<GlobalMem>]) -> R,
-    {
-        /// Raises every stop flag when dropped — including during an
-        /// unwind out of the host closure, so a panicking host can never
-        /// deadlock the scope on still-running devices.
-        struct StopGuard<'a>(&'a [Arc<GlobalMem>]);
-        impl Drop for StopGuard<'_> {
-            fn drop(&mut self) {
-                for m in self.0 {
-                    m.request_stop();
-                }
-            }
-        }
-
-        let mems = self.mems();
-        std::thread::scope(|s| {
-            for d in &self.devices {
-                s.spawn(move || d.run(matrix));
-            }
-            let _guard = StopGuard(&mems);
-            host(&mems)
-        })
-    }
-
     /// Starts every device on its own OS thread and hands back the
-    /// running machine. Unlike [`Machine::run`], which scopes device
-    /// lifetime to a single host closure, the returned value *owns* the
-    /// threads, so a resumable session can poll across many calls,
-    /// checkpoint in between, and stop whenever it chooses. Every device
+    /// running machine. The returned value *owns* the threads, so a
+    /// resumable session can poll across many calls, checkpoint in
+    /// between, and stop whenever it chooses; dropping it (also during
+    /// an unwind out of the host) raises every stop flag and joins the
+    /// devices. Every device
     /// shares the one `matrix` (a reference count, not a copy), which
     /// the running machine keeps for the host ([`RunningMachine::matrix`]).
     #[must_use]
@@ -115,26 +80,6 @@ impl Machine {
             matrix,
             handles,
         }
-    }
-
-    /// Total flips across all devices.
-    #[must_use]
-    pub fn total_flips(&self) -> u64 {
-        self.devices.iter().map(|d| d.mem().total_flips()).sum()
-    }
-
-    /// Total solutions evaluated across all devices for an `n`-bit
-    /// problem (the search-rate numerator of §4.3). Delegates to
-    /// [`GlobalMem::total_evaluated`], which counts `n + 1` evaluations
-    /// per flip *and* per initialized search unit — the same accounting
-    /// as `DeltaTracker::evaluated`, so per-tracker and machine-level
-    /// totals agree exactly.
-    #[must_use]
-    pub fn total_evaluated(&self, n: usize) -> u64 {
-        self.devices
-            .iter()
-            .map(|d| d.mem().total_evaluated(n))
-            .sum()
     }
 }
 
@@ -209,29 +154,27 @@ mod tests {
     fn all_devices_produce_results() {
         let mut rng = StdRng::seed_from_u64(1);
         let q = Qubo::random(24, &mut rng);
-        let m = test_machine(3);
-        let counts = m.run(&DeviceMatrix::from_problem(&Arc::new(q)), |mems| {
-            // Feed two targets to each device, wait for 2 results each.
-            let mut rng = StdRng::seed_from_u64(2);
-            for mem in mems {
-                mem.push_target(BitVec::random(24, &mut rng));
-                mem.push_target(BitVec::random(24, &mut rng));
-            }
-            loop {
-                let counts: Vec<u64> = mems.iter().map(|m| m.counter()).collect();
-                if counts.iter().all(|&c| c >= 2) {
-                    return counts;
-                }
-                std::thread::yield_now();
-            }
-        });
-        assert_eq!(counts.len(), 3);
-        assert!(m.total_flips() > 0);
+        let mut running = test_machine(3).start(DeviceMatrix::from_problem(&Arc::new(q)));
+        // Feed two targets to each device, wait for 2 results each.
+        let mut rng = StdRng::seed_from_u64(2);
+        for mem in running.mems() {
+            mem.push_target(BitVec::random(24, &mut rng));
+            mem.push_target(BitVec::random(24, &mut rng));
+        }
+        while !running.mems().iter().all(|m| m.counter() >= 2) {
+            std::thread::yield_now();
+        }
+        running.join();
+        let mems = running.mems();
+        assert_eq!(mems.len(), 3);
+        let flips: u64 = mems.iter().map(|mem| mem.total_flips()).sum();
+        assert!(flips > 0);
         // 3 devices × 3 blocks initialized one tracker each: the machine
         // counts their n+1 init evaluations on top of the flip total.
-        let units: u64 = m.mems().iter().map(|mem| mem.total_units()).sum();
+        let units: u64 = mems.iter().map(|mem| mem.total_units()).sum();
         assert_eq!(units, 9);
-        assert_eq!(m.total_evaluated(24), (m.total_flips() + 9) * 25);
+        let evaluated: u64 = mems.iter().map(|mem| mem.total_evaluated(24)).sum();
+        assert_eq!(evaluated, (flips + 9) * 25);
     }
 
     #[test]
@@ -312,15 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn host_result_is_propagated() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let q = Qubo::random(16, &mut rng);
-        let m = test_machine(1);
-        let out = m.run(&DeviceMatrix::from_problem(&Arc::new(q)), |_mems| 42usize);
-        assert_eq!(out, 42);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one device")]
     fn zero_devices_panics() {
         let _ = Machine::new(&MachineConfig {
@@ -331,19 +265,19 @@ mod tests {
 
     #[test]
     fn panicking_host_does_not_deadlock_devices() {
-        // The StopGuard must raise stop flags during unwind, so the
-        // scope joins promptly and the panic propagates.
+        // Dropping the running machine during the unwind must raise the
+        // stop flags and join promptly, and the panic propagates.
         let mut rng = StdRng::seed_from_u64(4);
         let q = Qubo::random(16, &mut rng);
         let m = test_machine(2);
+        let mems = m.mems();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            m.run(&DeviceMatrix::from_problem(&Arc::new(q)), |_mems| {
-                panic!("host exploded")
-            });
+            let _running = m.start(DeviceMatrix::from_problem(&Arc::new(q)));
+            panic!("host exploded");
         }));
         assert!(result.is_err(), "panic must propagate");
         // Devices exited: their memories show the stop flag.
-        for mem in m.mems() {
+        for mem in &mems {
             assert!(mem.stopped());
         }
     }
@@ -387,15 +321,17 @@ mod tests {
             num_devices: 1,
             device,
         });
-        let saw_dead = m.run(&DeviceMatrix::from_problem(&Arc::new(q)), |mems| loop {
-            if mems[0].health().status() == HealthStatus::Dead {
-                return true;
+        let running = m.start(DeviceMatrix::from_problem(&Arc::new(q)));
+        let mem = &running.mems()[0];
+        let saw_dead = loop {
+            if mem.health().status() == HealthStatus::Dead {
+                break true;
             }
-            if mems[0].counter() > 0 {
-                return false;
+            if mem.counter() > 0 {
+                break false;
             }
             std::thread::yield_now();
-        });
+        };
         assert!(saw_dead, "host must observe the device death");
     }
 }

@@ -180,7 +180,7 @@ fn all_zero_matrix_walks_leftmost_first() {
     for &n in &EDGE_SIZES {
         let q = instance(n, 0, 0);
         check_all_arms(&q, &MIXED, n, 7);
-        let d = vec![0i32; q.stride()];
+        let d = vec![0i32; q.dense().stride()];
         let mut rng = StdRng::seed_from_u64(n as u64);
         for _ in 0..20 {
             let x = BitVec::random(n, &mut rng);
