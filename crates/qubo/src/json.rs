@@ -289,26 +289,43 @@ impl<'a> Reader<'a> {
         &mut self,
         mut element: impl FnMut(&mut Self, usize) -> Result<(), JsonProblemError>,
     ) -> Result<(), JsonProblemError> {
+        let mut more = self.open_array()?;
+        let mut index = 0;
+        while more {
+            self.skip_ws();
+            element(self, index)?;
+            index += 1;
+            more = self.after_element()?;
+        }
+        Ok(())
+    }
+
+    /// Enters the array at the cursor; `false` when it is empty (and
+    /// already closed).
+    fn open_array(&mut self) -> Result<bool, JsonProblemError> {
         self.enter(b'[')?;
         if self.peek() == Some(b']') {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(());
+            return Ok(false);
         }
-        let mut index = 0;
-        loop {
-            self.skip_ws();
-            element(self, index)?;
-            index += 1;
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(());
-                }
-                other => return Err(syntax(format!("bad array at {other:?}"))),
+        Ok(true)
+    }
+
+    /// Consumes the delimiter after an array element: `,` (`true`,
+    /// another element follows) or `]` (`false`, the array is closed).
+    fn after_element(&mut self) -> Result<bool, JsonProblemError> {
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
             }
+            Some(b']') => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            other => Err(syntax(format!("bad array at {other:?}"))),
         }
     }
 
@@ -481,6 +498,56 @@ impl<'a> Reader<'a> {
         Some(w)
     }
 
+    /// The eight-byte (SWAR) fast path for an array element: with at
+    /// least eight bytes left it reads them as one word and consumes
+    /// `-?[0-9]{1,5},` — a plain integer and the comma after it — when
+    /// the value fits `i16`. Anything else — whitespace, a fraction or
+    /// exponent, six or more digits, an out-of-range value, a non-number,
+    /// the array's last element, the last bytes of the text — leaves the
+    /// cursor alone (`None`) for the element path
+    /// ([`Reader::short_weight`], then the full number scan), which stays
+    /// the only source of errors.
+    fn swar_weight(&mut self) -> Option<i16> {
+        const ONES: u64 = 0x0101_0101_0101_0101;
+        const HIGH: u64 = 0x80 * ONES;
+        let chunk = self.bytes().get(self.pos..self.pos + 8)?;
+        let mut word = u64::from_le_bytes(chunk.try_into().ok()?);
+        let neg = word as u8 == b'-';
+        if neg {
+            word >>= 8;
+        }
+        // Bit 7 of byte k is set iff byte k is an ASCII digit: the low
+        // seven bits are ≥ '0' and < ':' (neither sum carries out of its
+        // byte), and bit 7 itself is clear.
+        let low = word & (0x7f * ONES);
+        let digit = (low + (0x80 - u64::from(b'0')) * ONES)
+            & !(low + (0x80 - u64::from(b':')) * ONES)
+            & !word
+            & HIGH;
+        // Digits run from byte 0 up to the first non-digit byte; the
+        // shifted-out sign leaves a zero top byte, so a negative number
+        // never reads as eight digits.
+        let len = (!digit & HIGH).trailing_zeros() as usize / 8;
+        if !(1..=5).contains(&len) || (word >> (8 * len)) as u8 != b',' {
+            return None;
+        }
+        // Digit values, left-aligned so the number reads as eight digits
+        // with leading zeros (byte 0 the most significant), then combined
+        // pairwise: bytes into two-digit pairs, pairs into the value.
+        let v = (word.wrapping_sub(u64::from(b'0') * ONES)) << (64 - 8 * len);
+        let v = v.wrapping_mul(10).wrapping_add(v >> 8);
+        const PAIRS: u64 = 0x0000_00ff_0000_00ff;
+        let v = (v & PAIRS)
+            .wrapping_mul(100 + (1_000_000 << 32))
+            .wrapping_add(((v >> 16) & PAIRS).wrapping_mul(1 + (10_000 << 32)))
+            >> 32;
+        // invariant: at most five digits, so v ≤ 99 999 fits i32.
+        let mag = v as i32;
+        let w = i16::try_from(if neg { -mag } else { mag }).ok()?;
+        self.pos += usize::from(neg) + len + 1;
+        Some(w)
+    }
+
     /// Consumes a number, or skips a value of any other type (`None`).
     fn number_or_skip(&mut self) -> Result<Option<Num>, JsonProblemError> {
         if let Some(b'-' | b'0'..=b'9') = self.peek() {
@@ -626,12 +693,23 @@ fn field<'a, T>(
     }
 }
 
+/// Streams the `"upper"` array with its own walk of the array. Runs of
+/// plain `w,` elements take the SWAR fast path
+/// ([`Reader::swar_weight`]), which consumes the comma too, so each
+/// such element costs one eight-byte read. Any other element takes the
+/// element path, exactly as [`Reader::array`] would hand it over.
 fn read_upper(r: &mut Reader<'_>, cap: usize) -> Result<Upper, JsonProblemError> {
     let mut up = Upper {
         weights: Vec::with_capacity(cap),
         first_bad: None,
     };
-    r.array(|r, index| {
+    let mut more = r.open_array()?;
+    while more {
+        while let Some(w) = r.swar_weight() {
+            up.weights.push(w);
+        }
+        r.skip_ws();
+        let index = up.weights.len();
         let w = match r.short_weight() {
             Some(w) => w,
             None => weight(r.number_or_skip()?, "upper", index).unwrap_or_else(|e| {
@@ -640,8 +718,8 @@ fn read_upper(r: &mut Reader<'_>, cap: usize) -> Result<Upper, JsonProblemError>
             }),
         };
         up.weights.push(w);
-        Ok(())
-    })?;
+        more = r.after_element()?;
+    }
     Ok(up)
 }
 
@@ -1089,6 +1167,122 @@ mod tests {
             parse_problem(doc).unwrap_err(),
             JsonProblemError::Problem(QuboError::BadSize(usize::MAX))
         );
+    }
+
+    /// An `"upper"` array decoded by [`read_upper`] (fast path first)
+    /// and by the full number scan alone, element by element, as
+    /// (weights, first element error) or the syntax error, plus where
+    /// the cursor stopped.
+    type Decoded = (
+        Result<(Vec<i16>, Option<JsonProblemError>), JsonProblemError>,
+        usize,
+    );
+
+    fn upper_fast(text: &str) -> Decoded {
+        let mut r = Reader::new(text);
+        let up = read_upper(&mut r, 0).map(|u| (u.weights, u.first_bad));
+        (up, r.pos())
+    }
+
+    fn upper_by_elements(text: &str) -> Decoded {
+        let mut r = Reader::new(text);
+        let (mut weights, mut first_bad) = (Vec::new(), None);
+        let done = r.array(|r, index| {
+            let w = weight(r.number_or_skip()?, "upper", index).unwrap_or_else(|e| {
+                first_bad.get_or_insert(e);
+                0
+            });
+            weights.push(w);
+            Ok(())
+        });
+        (done.map(|()| (weights, first_bad)), r.pos())
+    }
+
+    /// The fast path and the element path agree on `text` and on every
+    /// truncation of it.
+    fn assert_paths_agree(text: &str) {
+        for cut in (0..=text.len()).filter(|&c| text.is_char_boundary(c)) {
+            let t = &text[..cut];
+            assert_eq!(upper_fast(t), upper_by_elements(t), "{t:?}");
+        }
+    }
+
+    #[test]
+    fn the_upper_fast_path_matches_the_element_path_on_edge_cases() {
+        let elements = [
+            "-32768", "32767", "32768", "-32769", "-0", "0", "-00000", "007", "-0042", "00000",
+            "000000", "123456", "-123456", "99999", "-99999", "1.0", "-1.5", "1e2", "1E2", "-2e-1",
+            "1.", "-", "--1", "+1", r#""7""#, "null", "true", "[1]", "{}", "1x",
+            // The bytes on either side of the digits, and a non-ASCII one.
+            "1/2", "1:2", "/", ":", "-:", "1é", "\u{b1}1",
+        ];
+        let seps = [",", " ,", ", ", "\n,\t", " , "];
+        for (k, e) in elements.iter().enumerate() {
+            for (s, sep) in seps.iter().enumerate() {
+                // The element first, inside a run of plain weights and
+                // last, with and without eight bytes of lookahead.
+                let near = elements[(k + s) % elements.len()];
+                for doc in [
+                    format!("[{e}{sep}12345,-2]"),
+                    format!("[-1,22,{e}{sep}333,-4444,5]"),
+                    format!("[-1{sep}{near},{e}]"),
+                    format!("[{e}]"),
+                    format!("[{e},{near}{sep}{e}] , 1"),
+                ] {
+                    assert_paths_agree(&doc);
+                }
+            }
+        }
+        // The fast path reads what the element path reads.
+        let (got, _) = upper_fast("[-32768,32767,-0,007,00000,-5,1 ,2]");
+        assert_eq!(got, Ok((vec![i16::MIN, i16::MAX, 0, 7, 0, -5, 1, 2], None)));
+        let (got, _) = upper_fast("[1,32768,2,1.0,3]");
+        assert_eq!(
+            got.unwrap().1,
+            Some(JsonProblemError::Overflow {
+                field: "upper",
+                index: 1,
+                value: 32768
+            })
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn the_upper_fast_path_matches_the_element_path(seed in proptest::prelude::any::<u64>()) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut doc = String::from("[");
+            for k in 0..rng.gen_range(0..40) {
+                if k > 0 {
+                    doc.push_str([",", ",", ",", " ,", ", ", "\n,"][rng.gen_range(0..6)]);
+                }
+                let v: i64 = match rng.gen_range(0..4) {
+                    0 => rng.gen_range(-9..=9),
+                    1 => rng.gen_range(-99_999..=99_999),
+                    2 => rng.gen_range(-32_770..=32_770),
+                    _ => rng.gen_range(-9_999_999..=9_999_999),
+                };
+                if v < 0 {
+                    doc.push('-');
+                }
+                for _ in 0..rng.gen_range(0..3) / 2 {
+                    doc.push('0');
+                }
+                doc.push_str(&v.unsigned_abs().to_string());
+                match rng.gen_range(0..40) {
+                    0 => doc.push_str(".0"),
+                    1 => doc.push_str("e1"),
+                    2 => doc.push('x'),
+                    _ => {}
+                }
+            }
+            doc.push(']');
+            assert_paths_agree(&doc);
+        }
     }
 
     #[test]

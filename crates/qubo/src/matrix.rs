@@ -6,6 +6,7 @@ use crate::sparse::SparseQubo;
 use crate::MAX_BITS;
 use rand::Rng;
 use std::fmt;
+use std::hint::black_box;
 use std::sync::{Arc, OnceLock};
 
 /// Errors produced when constructing a [`Qubo`].
@@ -56,9 +57,10 @@ pub const ROW_LANE: usize = 32;
 pub const ROW_ALIGN_BYTES: usize = ROW_LANE * 2;
 
 /// Side of the square tiles [`Qubo::from_upper`] mirrors the lower
-/// triangle in: a 64 × 64 tile of `i16` reads 64 row segments of two
-/// cache lines each and writes as many, well inside L1.
-const MIRROR_TILE: usize = 64;
+/// triangle in: one aligned cache line per tile row (a [`ROW_LANE`]
+/// chunk), so a tile is 32 source lines and 32 destination lines, and
+/// its transpose happens in a 2 KB stack buffer.
+const MIRROR_TILE: usize = ROW_LANE;
 
 /// Checks a problem size against the supported range `1..=MAX_BITS`.
 pub(crate) fn check_size(n: usize) -> Result<(), QuboError> {
@@ -141,20 +143,46 @@ impl DenseRows {
     /// Allocates an `n`-bit instance (`n` already checked), lets `fill`
     /// write each row's upper part `W_i,i..n` in row order, and
     /// mirrors the lower triangle from it.
+    ///
+    /// The mirror walks [`MIRROR_TILE`]-square tiles. A diagonal tile
+    /// is mirrored in place, cell by cell. An off-diagonal tile (rows
+    /// `ti..`, columns `tj..`, `tj > ti`) is read row by row into a
+    /// stack buffer, transposed there, and written row by row to rows
+    /// `tj..`, columns `ti..`; `split_at_mut` at row `ti + MIRROR_TILE`
+    /// gives the source band and every destination row as disjoint
+    /// slices. Only contiguous tile rows touch the matrix, so the
+    /// column-order walk that aliases L1 sets at power-of-two strides
+    /// happens in the buffer.
     fn fill_upper(n: usize, mut fill: impl FnMut(&mut [i16])) -> Self {
+        const T: usize = MIRROR_TILE;
         let mut q = Self::zeroed(n);
         for i in 0..n {
             let (a, b) = (q.idx(i, i), q.idx(i, n));
             fill(&mut q.w[a..b]);
         }
-        for ti in (0..n).step_by(MIRROR_TILE) {
-            for tj in (ti..n).step_by(MIRROR_TILE) {
-                for i in ti..(ti + MIRROR_TILE).min(n) {
-                    for j in tj.max(i + 1)..(tj + MIRROR_TILE).min(n) {
-                        let v = q.w[q.idx(i, j)];
-                        let d = q.idx(j, i);
-                        q.w[d] = v;
+        let (stride, off) = (q.stride, q.off);
+        let mut tile = [[0i16; T]; T];
+        for ti in (0..n).step_by(T) {
+            let h = T.min(n - ti);
+            for i in ti..ti + h {
+                for j in i + 1..ti + h {
+                    let v = q.w[q.idx(i, j)];
+                    let d = q.idx(j, i);
+                    q.w[d] = v;
+                }
+            }
+            let (band, below) = q.w[off..].split_at_mut((ti + h) * stride);
+            for tj in (ti + h..n).step_by(T) {
+                let w = T.min(n - tj);
+                for (r, i) in (ti..ti + h).enumerate() {
+                    let src = &band[i * stride + tj..i * stride + tj + w];
+                    for (c, &v) in src.iter().enumerate() {
+                        tile[c][r] = v;
                     }
+                }
+                for (c, row) in tile.iter().take(w).enumerate() {
+                    let at = (tj + c - (ti + h)) * stride + ti;
+                    below[at..at + h].copy_from_slice(&row[..h]);
                 }
             }
         }
@@ -277,10 +305,12 @@ impl DenseRows {
 /// form once something has asked for it.
 #[derive(Clone)]
 enum Weights {
-    /// Built dense; the CSR form is derived on first sparse use.
+    /// Built dense; the CSR form is derived on first sparse use, and
+    /// the coupler count (an O(n²) scan) on its first query.
     Dense {
         rows: DenseRows,
         csr: OnceLock<Arc<SparseQubo>>,
+        couplers: OnceLock<usize>,
     },
     /// Built from CSR; the dense rows are derived on first dense use.
     Sparse {
@@ -338,6 +368,7 @@ impl Qubo {
             weights: Weights::Dense {
                 rows,
                 csr: OnceLock::new(),
+                couplers: OnceLock::new(),
             },
         }
     }
@@ -425,8 +456,8 @@ impl Qubo {
     /// Builds an instance from the row-major upper triangle of `W`
     /// (diagonal included, `n·(n+1)/2` weights): each row's upper part
     /// is copied in whole, then the lower triangle is mirrored in
-    /// 64 × 64 tiles so both the reads and the strided writes stay
-    /// cache-resident.
+    /// 32 × 32 tiles transposed through a stack buffer, so the matrix
+    /// itself is only read and written in whole cache lines.
     ///
     /// # Errors
     /// [`QuboError::BadSize`] for an out-of-range `n`,
@@ -487,7 +518,7 @@ impl Qubo {
     pub fn csr(&self) -> &Arc<SparseQubo> {
         match &self.weights {
             Weights::Sparse { csr, .. } => csr,
-            Weights::Dense { rows, csr } => {
+            Weights::Dense { rows, csr, .. } => {
                 csr.get_or_init(|| Arc::new(SparseQubo::from_rows(rows)))
             }
         }
@@ -514,18 +545,25 @@ impl Qubo {
 
     /// Sets `W_ij` and `W_ji` simultaneously, keeping the matrix
     /// symmetric. The instance becomes dense-built (densifying a
-    /// CSR-built one first) and drops any CSR form, which would be
-    /// stale.
+    /// CSR-built one first) and drops any CSR form and coupler count,
+    /// which would be stale.
     pub fn set(&mut self, i: usize, j: usize, v: i16) {
         if let Weights::Sparse { csr, rows } = &mut self.weights {
             let rows = rows.take().unwrap_or_else(|| DenseRows::from_csr(csr));
             self.weights = Weights::Dense {
                 rows,
                 csr: OnceLock::new(),
+                couplers: OnceLock::new(),
             };
         }
-        if let Weights::Dense { rows, csr } = &mut self.weights {
+        if let Weights::Dense {
+            rows,
+            csr,
+            couplers,
+        } = &mut self.weights
+        {
             csr.take();
+            couplers.take();
             rows.set(i, j, v);
         }
     }
@@ -540,14 +578,18 @@ impl Qubo {
         }
     }
 
-    /// Number of non-zero off-diagonal couplers `(i < j)`: a chunked
-    /// scan of the dense rows, or O(1) on the CSR form.
+    /// Number of non-zero off-diagonal couplers `(i < j)`: O(1) on the
+    /// CSR form; on dense rows a chunked scan, run on the first call and
+    /// kept until the next [`Qubo::set`] (every session start asks, and
+    /// a cached instance is started many times).
     #[must_use]
     pub fn coupler_count(&self) -> usize {
         match &self.weights {
-            Weights::Dense { rows, .. } => (0..self.n)
-                .map(|i| rows.row_nonzeros(i, i + 1).count())
-                .sum(),
+            Weights::Dense { rows, couplers, .. } => *couplers.get_or_init(|| {
+                (0..self.n)
+                    .map(|i| rows.row_nonzeros(i, i + 1).count())
+                    .sum()
+            }),
             // CSR stores both triangles; each coupler appears twice.
             Weights::Sparse { csr, .. } => csr.nnz() / 2,
         }
@@ -558,7 +600,7 @@ impl Qubo {
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         match &self.weights {
-            Weights::Dense { rows, csr } => {
+            Weights::Dense { rows, csr, .. } => {
                 rows.heap_bytes() + csr.get().map_or(0, |s| s.heap_bytes())
             }
             Weights::Sparse { csr, rows } => {
@@ -658,16 +700,18 @@ impl Qubo {
     /// 64-bit lanes absorb the stream through a splitmix64-style
     /// permutation and are finalised with the absorbed length. It is a
     /// cache/dedup key, not an integrity guarantee.
+    ///
+    /// Each storage form has its own direct loop over its rows (no
+    /// iterator chain per cell), and the lanes stay scalar: see
+    /// `ContentLanes` for why.
     #[must_use]
     pub fn content_hash(&self) -> ContentHash {
         let mut lanes = ContentLanes::new();
         lanes.absorb(self.n as u64);
-        self.upper_cells().for_each(|(i, j, w)| {
-            // Widen through u16 so the weight occupies exactly the
-            // low 16 bits, deterministically on every platform.
-            let cell = (i * self.n + j) as u64;
-            lanes.absorb(cell << 16 | u64::from(w as u16));
-        });
+        match &self.weights {
+            Weights::Dense { rows, .. } => lanes.absorb_rows(rows),
+            Weights::Sparse { csr, .. } => lanes.absorb_csr(csr),
+        }
         lanes.finish()
     }
 }
@@ -719,10 +763,32 @@ impl fmt::Display for ContentHash {
     }
 }
 
+/// The digest word of a non-zero cell `W_ij` at flat index `cell =
+/// i·n + j`: the index above the weight. The weight widens through `u16`
+/// so it occupies exactly the low 16 bits, on every platform.
+#[inline]
+fn pack(cell: usize, w: i16) -> u64 {
+    (cell as u64) << 16 | u64::from(w as u16)
+}
+
 /// Four chained 64-bit absorption lanes (the BLAKE-inspired sponge
 /// behind [`Qubo::content_hash`]).
+///
+/// The lanes are four scalar fields, and every absorb step passes each
+/// new lane state through [`black_box`]. Each lane is a serial chain of
+/// multiplies, and the four chains are independent, so a core overlaps
+/// them. Left alone, LLVM's SLP vectorizer packs the four lanes into one
+/// vector multiply instead; with `target-cpu=native` on AVX-512DQ that
+/// is a `vpmullq` (15-cycle latency) on the serial chain, and the digest
+/// ran 2.5–3× slower than the scalar chains. An array-backed state was
+/// still packed. The barrier costs one register spill per lane and step
+/// and keeps the digest within a small factor of one bare `mix64` chain
+/// (`BENCH_ingest.json`).
 struct ContentLanes {
-    state: [u64; 4],
+    s0: u64,
+    s1: u64,
+    s2: u64,
+    s3: u64,
     absorbed: u64,
 }
 
@@ -752,28 +818,115 @@ impl ContentLanes {
     ];
 
     fn new() -> Self {
+        let [s0, s1, s2, s3] = Self::SEEDS;
         Self {
-            state: Self::SEEDS,
+            s0,
+            s1,
+            s2,
+            s3,
             absorbed: 0,
         }
     }
 
+    /// One lane's absorb step, behind the vectorization barrier.
+    #[inline]
+    fn step(state: u64, word: u64, mul: u64, absorbed: u64) -> u64 {
+        black_box(mix64(state ^ word.wrapping_mul(mul).wrapping_add(absorbed)))
+    }
+
+    #[inline]
     fn absorb(&mut self, word: u64) {
         self.absorbed = self.absorbed.wrapping_add(1);
-        for lane in 0..4 {
-            let keyed = word
-                .wrapping_mul(Self::MULS[lane])
-                .wrapping_add(self.absorbed);
-            self.state[lane] = mix64(self.state[lane] ^ keyed);
+        let k = self.absorbed;
+        let [m0, m1, m2, m3] = Self::MULS;
+        self.s0 = Self::step(self.s0, word, m0, k);
+        self.s1 = Self::step(self.s1, word, m1, k);
+        self.s2 = Self::step(self.s2, word, m2, k);
+        self.s3 = Self::step(self.s3, word, m3, k);
+    }
+
+    fn absorb_all(&mut self, words: &[u64]) {
+        words.iter().for_each(|&w| self.absorb(w));
+    }
+
+    /// Absorbs the non-zero upper-triangle cells of dense rows, in
+    /// row-major order. Whole zero chunks of a padded row are skipped;
+    /// pad lanes are zero and never absorbed.
+    fn absorb_rows(&mut self, rows: &DenseRows) {
+        let n = rows.n;
+        for i in 0..n {
+            let first = i / ROW_LANE * ROW_LANE;
+            let chunks = rows.row_padded(i)[first..].chunks_exact(ROW_LANE);
+            for (c, chunk) in chunks.enumerate() {
+                if chunk.iter().fold(0, |acc, &w| acc | w) == 0 {
+                    continue;
+                }
+                let j0 = first + c * ROW_LANE;
+                for (lane, &w) in chunk.iter().enumerate() {
+                    let j = j0 + lane;
+                    if w != 0 && j >= i {
+                        self.absorb(pack(i * n + j, w));
+                    }
+                }
+            }
         }
     }
 
-    fn finish(mut self) -> ContentHash {
-        let len = self.absorbed;
-        for lane in 0..4 {
-            self.state[lane] = mix64(self.state[lane] ^ len.wrapping_mul(Self::MULS[lane]));
+    /// Absorbs the non-zero upper-triangle cells of a CSR matrix, in
+    /// row-major order: per row the diagonal, then the stored columns
+    /// above it.
+    ///
+    /// G-set rows hold a handful of entries, and per-row search and
+    /// loop-exit branches mispredict often enough to cost more than the
+    /// absorbs. A row of at most `WINDOW` entries is therefore staged
+    /// without branches: every entry of a fixed window from the row's
+    /// start is written to a stack buffer, and the stage length moves
+    /// past those of the row that lie above the diagonal. The stage is
+    /// absorbed when it fills. A longer row, or one too near the end of
+    /// the arrays for a full window, is walked directly.
+    fn absorb_csr(&mut self, csr: &SparseQubo) {
+        const WINDOW: usize = 8;
+        let n = csr.n();
+        let (row_start, cols, vals) = csr.arrays();
+        let mut stage = [0u64; 64];
+        let mut len = 0;
+        for i in 0..n {
+            let (lo, hi) = (row_start[i] as usize, row_start[i + 1] as usize);
+            if len + 1 + WINDOW > stage.len() {
+                self.absorb_all(&stage[..len]);
+                len = 0;
+            }
+            let d = csr.diag(i);
+            stage[len] = pack(i * n + i, d);
+            len += usize::from(d != 0);
+            match cols.get(lo..lo + WINDOW).zip(vals.get(lo..lo + WINDOW)) {
+                Some((c, v)) if hi - lo <= WINDOW => {
+                    for t in 0..WINDOW {
+                        stage[len] = pack(i * n + c[t] as usize, v[t]);
+                        len += usize::from(t < hi - lo && c[t] as usize > i);
+                    }
+                }
+                _ => {
+                    self.absorb_all(&stage[..len]);
+                    len = 0;
+                    let (c, v) = (&cols[lo..hi], &vals[lo..hi]);
+                    let above = c.partition_point(|&j| (j as usize) < i);
+                    // invariant: above ≤ c.len() = v.len().
+                    for (&j, &w) in c[above..].iter().zip(&v[above..]) {
+                        self.absorb(pack(i * n + j as usize, w));
+                    }
+                }
+            }
         }
-        ContentHash(self.state)
+        self.absorb_all(&stage[..len]);
+    }
+
+    fn finish(self) -> ContentHash {
+        let len = self.absorbed;
+        let state = [self.s0, self.s1, self.s2, self.s3];
+        ContentHash(std::array::from_fn(|lane| {
+            mix64(state[lane] ^ len.wrapping_mul(Self::MULS[lane]))
+        }))
     }
 }
 
@@ -948,10 +1101,29 @@ mod tests {
             sparse_only + 40 * rows.stride() * 2 + 2 * (ROW_LANE - 1)
         );
 
-        let dense = Qubo::zero(40).unwrap();
+        let mut dense = Qubo::zero(40).unwrap();
         let before = dense.heap_bytes();
         assert!(Arc::ptr_eq(dense.csr(), dense.csr()), "memoized");
         assert_eq!(dense.heap_bytes(), before + dense.csr().heap_bytes());
+
+        // The dense coupler count is scanned once, kept, and dropped by
+        // a set, which may change it.
+        let held = |q: &Qubo| match &q.weights {
+            Weights::Dense { couplers, .. } => couplers.get().copied(),
+            Weights::Sparse { .. } => None,
+        };
+        dense.set(0, 39, 3);
+        dense.set(7, 7, -1);
+        assert_eq!(held(&dense), None);
+        assert_eq!(dense.coupler_count(), 1);
+        assert_eq!(held(&dense), Some(1));
+        assert_eq!(dense.coupler_count(), 1);
+        dense.set(2, 5, 4);
+        assert_eq!(held(&dense), None, "dropped by a set");
+        assert_eq!(dense.coupler_count(), 2);
+        dense.set(0, 39, 0);
+        assert_eq!(dense.coupler_count(), 1);
+        assert_eq!(held(&dense), Some(1));
     }
 
     #[test]
@@ -990,8 +1162,10 @@ mod tests {
 
     #[test]
     fn from_upper_matches_cell_by_cell_sets_across_tile_edges() {
-        // 130 spans three mirror tiles per side, the last one partial.
-        for n in [1, 2, 63, 64, 65, 130] {
+        // 130 spans five mirror tiles per side, the last one partial;
+        // 31..=33 and 63..=65 put a partial tile at either side of a
+        // tile edge.
+        for n in [1, 2, 31, 32, 33, 63, 64, 65, 130] {
             let upper: Vec<i16> = (0..n * (n + 1) / 2)
                 .map(|k| (k as i16).wrapping_mul(7919))
                 .collect();
@@ -1208,6 +1382,87 @@ mod tests {
         let mut pos = Qubo::zero(2).unwrap();
         pos.set(0, 1, i16::MAX);
         assert_ne!(neg.content_hash(), pos.content_hash());
+    }
+
+    /// A CSR-built Max-Cut stand-in in the G-set mould: `n` vertices,
+    /// `m` random ±1 edges, `W_uv = w` and `−w` on both diagonals.
+    fn gset_stand_in(n: usize, m: usize, seed: u64) -> Qubo {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut t = Vec::with_capacity(3 * m);
+        while t.len() < 3 * m {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let w = if rng.gen::<bool>() { 1 } else { -1 };
+            if u != v {
+                t.extend([(u, v, w), (u, u, -w), (v, v, -w)]);
+            }
+        }
+        Qubo::from_triplets(n, &t).unwrap()
+    }
+
+    #[test]
+    fn content_hash_matches_its_golden_values() {
+        // Pinned digests: the warm-start cache and the end-to-end bench's
+        // input fingerprints key on these, so a change to the canonical
+        // stream, the lane constants or the absorb order shows up here.
+        let cases = [
+            (
+                "fig1",
+                paper_fig1(),
+                "8a1e1f55348af4ed012aa6e8045d82552ef5e0bd56adf1852332fc64d05ed720",
+            ),
+            (
+                "random-64",
+                Qubo::random(64, &mut StdRng::seed_from_u64(64)),
+                "5706f045e21d262d4d37762ccfa85e89903650789f2f92d957c588976265dab8",
+            ),
+            (
+                "random-1024",
+                Qubo::random(1024, &mut StdRng::seed_from_u64(1024)),
+                "01d7af132d552eadb006ef187ff28f4872d009c5348b076f7c27264ce543bf3b",
+            ),
+            (
+                "gset-stand-in",
+                gset_stand_in(800, 2400, 55),
+                "1463cc3b4e8c1eed5598a54cfde2116e9cf3baf71e667b6cc0c4f0b0bd4b24be",
+            ),
+            (
+                "zero-1",
+                Qubo::zero(1).unwrap(),
+                "ff07610740843fe48fdbee149708b3acb36f528710e9284f4e39d43d87158fe2",
+            ),
+        ];
+        for (name, q, want) in cases {
+            assert_eq!(q.content_hash().to_hex(), want, "{name}");
+        }
+    }
+
+    #[test]
+    fn csr_and_dense_digests_agree_at_every_row_length() {
+        // Rows from empty to well past the CSR arm's staging window, zero
+        // and non-zero diagonals, and the last rows of the arrays (where
+        // a full window runs off their end).
+        let mut rng = StdRng::seed_from_u64(21);
+        for per_mille in [20, 100, 250, 600, 1000] {
+            let n = 45;
+            let mut t = Vec::new();
+            let mut dense = Qubo::zero(n).unwrap();
+            for i in 0..n {
+                for j in i..n {
+                    if rng.gen_range(0..1000) < per_mille {
+                        let w = rng.gen_range(1..=9) * if rng.gen::<bool>() { 1 } else { -1 };
+                        t.push(if rng.gen::<bool>() {
+                            (i, j, w)
+                        } else {
+                            (j, i, w)
+                        });
+                        dense.set(i, j, w);
+                    }
+                }
+            }
+            let csr = Qubo::from_triplets(n, &t).unwrap();
+            assert_eq!(csr.content_hash(), dense.content_hash(), "{per_mille}‰");
+            assert_twins(&csr, &dense);
+        }
     }
 
     #[test]

@@ -208,6 +208,13 @@ impl SparseQubo {
         (&self.cols[lo..hi], &self.vals[lo..hi])
     }
 
+    /// The CSR arrays: row starts (length `n + 1`), then the column
+    /// indices and weights of every stored off-diagonal entry, row after
+    /// row.
+    pub(crate) fn arrays(&self) -> (&[u32], &[u32], &[i16]) {
+        (&self.row_start, &self.cols, &self.vals)
+    }
+
     /// Weight `W_ij`: the diagonal, or a binary search of row `i`'s
     /// sorted columns (zero when `j` is not stored).
     pub(crate) fn get(&self, i: usize, j: usize) -> i16 {
